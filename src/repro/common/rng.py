@@ -126,6 +126,18 @@ class Lfsr:
         return self.next_bits(power) == 0
 
 
+#: SplitMix64 step: the state advances by the golden gamma, and each
+#: output is the new state through two xor-shift-multiply rounds.  Hot
+#: loops that inline the step (``generate_trace``) use these names, so
+#: the constants are defined once.
+SPLITMIX_MASK = (1 << 64) - 1
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX_MIX1 = 0xBF58476D1CE4E5B9
+SPLITMIX_MIX2 = 0x94D049BB133111EB
+#: ``random()`` divides a 64-bit output by this to land in [0, 1).
+SPLITMIX_SCALE = float(1 << 64)
+
+
 class SplitMix:
     """SplitMix64 generator for workload synthesis.
 
@@ -134,22 +146,25 @@ class SplitMix:
     standard tiny answer.  Not used by any simulated hardware.
     """
 
-    _MASK = (1 << 64) - 1
+    def __init__(self, seed: int = SPLITMIX_GAMMA) -> None:
+        self._state = seed & SPLITMIX_MASK
 
-    def __init__(self, seed: int = 0x9E3779B97F4A7C15) -> None:
-        self._state = seed & self._MASK
+    @property
+    def state(self) -> int:
+        """Current 64-bit state: resume an inlined step from here."""
+        return self._state
 
     def next_u64(self) -> int:
         """Next 64-bit value."""
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        self._state = (self._state + SPLITMIX_GAMMA) & SPLITMIX_MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        z = ((z ^ (z >> 30)) * SPLITMIX_MIX1) & SPLITMIX_MASK
+        z = ((z ^ (z >> 27)) * SPLITMIX_MIX2) & SPLITMIX_MASK
         return z ^ (z >> 31)
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return self.next_u64() / float(1 << 64)
+        return self.next_u64() / SPLITMIX_SCALE
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""

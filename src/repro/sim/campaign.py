@@ -3,7 +3,7 @@
 A *campaign* is the production shape of an experiment grid: a JSON (or
 TOML, Python 3.11+) spec names benchmark sets, schemes, geometries,
 seeds and optional fault plans; the cross product becomes ordered
-:class:`~repro.sim.parallel.CellSpec` cells executed through
+cells, each executed as a :class:`~repro.sim.parallel.CellSpec` through
 :class:`~repro.sim.parallel.ParallelRunner` and the content-addressed
 :class:`~repro.sim.cache.RunCache`.
 
@@ -23,7 +23,8 @@ contract (DESIGN.md §12):
   completed cells from the run cache (verifying the journaled digest),
   keeps journaled failures quarantined without re-running them, and
   re-arms the full :class:`~repro.resilience.harness.RetryPolicy` for
-  cells that died mid-flight.
+  cells that died mid-flight.  Traces are synthesised only for the
+  cells left to execute, so a complete resume synthesises none.
 * A cell that exhausts its retries is **quarantined** — written to
   ``quarantine/cell-NNNNN.json`` and listed in the report's
   graceful-degradation banner — instead of aborting the campaign.
@@ -72,6 +73,7 @@ from repro.sim.parallel import (
     CellOutcome,
     CellSpec,
     ParallelRunner,
+    ordered_map,
 )
 from repro.sim.results import ResultMatrix, RunFailure, format_table
 from repro.sim.simulator import RunResult
@@ -479,16 +481,53 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
     )
 
 
+#: What identifies a synthesised trace: (benchmark, sets, length).
+TraceKey = Tuple[str, int, int]
+
+
 @dataclass(frozen=True)
 class CampaignCell:
-    """One expanded grid cell: the runner spec plus its stable id."""
+    """One expanded grid cell: its stable id and grid coordinates.
 
+    A cell carries no trace.  :func:`run_campaign` synthesises traces
+    only for the cells it is about to execute and binds each one into
+    a runner :class:`~repro.sim.parallel.CellSpec` with
+    :meth:`cell_spec`.
+    """
+
+    index: int
     cell_id: str
-    spec: CellSpec
+    label: str
+    benchmark: str
+    scheme: str
+    geometry: CampaignGeometry
+    seed: int
+    fault_plan: Optional[str]
+
+    def trace_key(self, spec: CampaignSpec) -> TraceKey:
+        return (self.benchmark, self.geometry.sets, spec.trace_length)
+
+    def cell_spec(self, spec: CampaignSpec, trace: Trace) -> CellSpec:
+        """The runner spec of this cell over its synthesised ``trace``."""
+        return CellSpec(
+            index=self.index,
+            scheme=self.scheme,
+            label=self.label,
+            trace=trace,
+            geometry=self.geometry.geometry(),
+            seed=self.seed,
+            warmup_fraction=spec.warmup_fraction,
+            retry=spec.retry,
+            watchdog_seconds=spec.watchdog_seconds,
+            metrics_window=spec.metrics_window,
+            fault_plan=self.fault_plan,
+            backend=spec.backend,
+            ledger=spec.ledger,
+        )
 
 
 def build_cells(spec: CampaignSpec) -> List[CampaignCell]:
-    """Expand the spec into ordered, picklable cells.
+    """Expand the spec into ordered cells (no trace is synthesised).
 
     The order is a pure function of the spec — benchmark-major, then
     geometry, seed, fault plan, scheme — so cell indices are stable
@@ -499,20 +538,9 @@ def build_cells(spec: CampaignSpec) -> List[CampaignCell]:
     """
     multi_geometry = len(spec.geometries) > 1
     multi_seed = len(spec.seeds) > 1
-    traces: Dict[int, Dict[str, Trace]] = {}
     cells: List[CampaignCell] = []
-    index = 0
     for benchmark in spec.benchmarks:
         for geometry in spec.geometries:
-            per_sets = traces.setdefault(geometry.sets, {})
-            trace = per_sets.get(benchmark)
-            if trace is None:
-                trace = make_benchmark_trace(
-                    benchmark,
-                    num_sets=geometry.sets,
-                    length=spec.trace_length,
-                )
-                per_sets[benchmark] = trace
             for seed in spec.seeds:
                 for plan in spec.fault_plans:
                     for scheme in spec.schemes:
@@ -529,25 +557,22 @@ def build_cells(spec: CampaignSpec) -> List[CampaignCell]:
                         if plan is not None:
                             cell_id += f"/f={plan}"
                         cells.append(CampaignCell(
+                            index=len(cells),
                             cell_id=cell_id,
-                            spec=CellSpec(
-                                index=index,
-                                scheme=scheme,
-                                label=label,
-                                trace=trace,
-                                geometry=geometry.geometry(),
-                                seed=seed,
-                                warmup_fraction=spec.warmup_fraction,
-                                retry=spec.retry,
-                                watchdog_seconds=spec.watchdog_seconds,
-                                metrics_window=spec.metrics_window,
-                                fault_plan=plan,
-                                backend=spec.backend,
-                                ledger=spec.ledger,
-                            ),
+                            label=label,
+                            benchmark=benchmark,
+                            scheme=scheme,
+                            geometry=geometry,
+                            seed=seed,
+                            fault_plan=plan,
                         ))
-                        index += 1
     return cells
+
+
+def _synthesise(key: TraceKey) -> Trace:
+    """One campaign trace; module-level so it pickles into pool workers."""
+    benchmark, sets, length = key
+    return make_benchmark_trace(benchmark, num_sets=sets, length=length)
 
 
 def result_digest(result: RunResult) -> str:
@@ -902,6 +927,11 @@ def run_campaign(
     quarantine reports first (the content-addressed run cache is always
     safe to keep).
 
+    Traces are synthesised only for the cells left to execute, after
+    the journal's ``campaign_start``/``campaign_resume`` record, across
+    the same ``jobs`` worker processes that then run the cells: a
+    complete resume synthesises nothing and starts no worker.
+
     Returns a :class:`CampaignOutcome`; a quarantined cell never raises
     — it is reported in ``matrix.txt``, ``summary.json``, the HTML
     degradation banner and ``quarantine/``.
@@ -939,10 +969,10 @@ def run_campaign(
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     quarantined: Dict[int, QuarantinedCell] = {}
-    pending: List[CellSpec] = []
+    pending: List[CampaignCell] = []
     resumed = 0
     for cell in cells:
-        index = cell.spec.index
+        index = cell.index
         done = state.completed.get(index)
         if done is not None:
             key = done.get("key")
@@ -963,9 +993,9 @@ def run_campaign(
             )
             resumed += 1
             continue
-        pending.append(cell.spec)
+        pending.append(cell)
 
-    cell_ids = {cell.spec.index: cell.cell_id for cell in cells}
+    cell_ids = {cell.index: cell.cell_id for cell in cells}
     with CampaignJournal(journal_path) as journal:
         if state.records == 0:
             journal.append(
@@ -982,12 +1012,23 @@ def run_campaign(
                 telemetry_dir=telemetry_dir,
                 observer=_JournalObserver(journal, cell_ids),
             )
-            for cell_spec, outcome in zip(pending, runner.run(pending)):
-                outcomes[cell_spec.index] = outcome
+            # Only now, with the start journaled and fsynced, are traces
+            # synthesised: once per distinct key the pending cells need.
+            keys = list(dict.fromkeys(
+                cell.trace_key(spec) for cell in pending
+            ))
+            traces = dict(zip(
+                keys, ordered_map(_synthesise, keys, max_workers=jobs)
+            ))
+            specs = [
+                cell.cell_spec(spec, traces[cell.trace_key(spec)])
+                for cell in pending
+            ]
+            for cell, outcome in zip(pending, runner.run(specs)):
+                outcomes[cell.index] = outcome
                 if isinstance(outcome, RunFailure):
-                    quarantined[cell_spec.index] = QuarantinedCell(
-                        cell=cell_spec.index,
-                        cell_id=cell_ids[cell_spec.index],
+                    quarantined[cell.index] = QuarantinedCell(
+                        cell=cell.index, cell_id=cell.cell_id,
                         failure=outcome,
                     )
         journal.append(
@@ -1003,7 +1044,7 @@ def run_campaign(
         elif outcome is not None:
             # Relabel with the campaign's axis-aware label; the cached
             # entry itself is never touched.
-            matrix.add(replace(outcome, scheme=cell.spec.label))
+            matrix.add(replace(outcome, scheme=cell.label))
 
     quarantine_list = [quarantined[index] for index in sorted(quarantined)]
     _write_quarantine(directory, quarantine_list)

@@ -27,6 +27,9 @@ Determinism contract
 An optional :class:`~repro.sim.cache.RunCache` short-circuits cells
 whose content-addressed key already has a stored result; hits never
 reach the pool at all.
+
+:func:`ordered_map` fans a grid's set-up work (trace synthesis) over
+the same number of processes, with results in input order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
@@ -261,6 +264,35 @@ class CellObserver:
         """
 
 
+def _check_workers(max_workers: Optional[int]) -> None:
+    if max_workers is not None and max_workers < 1:
+        raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
+
+
+def ordered_map(
+    function: Callable[[Any], Any],
+    items: Sequence[Any],
+    max_workers: Optional[int] = None,
+) -> List[Any]:
+    """``[function(item) for item in items]``, fanned out over processes.
+
+    The set-up sibling of :class:`ParallelRunner` (trace synthesis for
+    a grid): in process when ``max_workers`` is None or 1 or there is at
+    most one item, otherwise across a ``ProcessPoolExecutor`` of at most
+    ``max_workers`` processes.  Results come back in ``items`` order
+    either way.  ``function`` must be a module-level function so it
+    pickles; a worker that dies raises ``BrokenProcessPool`` here, just
+    as a dead cell worker does in :meth:`ParallelRunner.run`.
+    """
+    _check_workers(max_workers)
+    if max_workers is None or max_workers == 1 or len(items) <= 1:
+        return [function(item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=min(max_workers, len(items))
+    ) as pool:
+        return list(pool.map(function, items))
+
+
 class ParallelRunner:
     """Shards :class:`CellSpec` cells across a process pool.
 
@@ -290,10 +322,7 @@ class ParallelRunner:
         status_interval: float = 1.0,
         observer: Optional[CellObserver] = None,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
+        _check_workers(max_workers)
         self.max_workers = max_workers
         self.run_cache = run_cache
         self.profiler = profiler

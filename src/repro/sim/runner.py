@@ -26,12 +26,12 @@ cells whose content-addressed key already holds a stored result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import RunProfiler
 from repro.resilience.harness import RetryPolicy
 from repro.sim.config import ExperimentScale
-from repro.sim.parallel import CellSpec, ParallelRunner
+from repro.sim.parallel import CellSpec, ParallelRunner, ordered_map
 from repro.sim.results import ResultMatrix, RunFailure
 from repro.sim.simulator import RunResult
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
@@ -113,6 +113,12 @@ def run_matrix(
     return matrix
 
 
+def _benchmark_trace(key: Tuple[str, int, int]) -> Trace:
+    """One (benchmark, sets, length) trace; module-level so it pickles."""
+    name, num_sets, length = key
+    return make_benchmark_trace(name, num_sets=num_sets, length=length)
+
+
 def run_benchmarks(
     schemes: Sequence[str],
     benchmarks: Optional[Sequence[str]] = None,
@@ -129,17 +135,18 @@ def run_benchmarks(
     backend: Optional[str] = None,
     ledger: bool = False,
 ) -> ResultMatrix:
-    """Run the (selected) SPEC-like benchmarks through every scheme."""
+    """Run the (selected) SPEC-like benchmarks through every scheme.
+
+    ``max_workers`` > 1 synthesises the traces across that many
+    processes too, before the grid runs.
+    """
     scale = scale if scale is not None else ExperimentScale.default()
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
-    traces = [
-        make_benchmark_trace(
-            name,
-            num_sets=scale.num_sets,
-            length=scale.trace_length,
-        )
-        for name in names
-    ]
+    traces = ordered_map(
+        _benchmark_trace,
+        [(name, scale.num_sets, scale.trace_length) for name in names],
+        max_workers=max_workers,
+    )
     return run_matrix(traces, schemes, scale=scale, seed=seed,
                       profiler=profiler, isolate=isolate, retry=retry,
                       watchdog_seconds=watchdog_seconds,

@@ -24,12 +24,19 @@ evaluated schemes differ on:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.common.addressing import AddressMapper
 from repro.common.errors import ConfigError
-from repro.common.rng import SplitMix
+from repro.common.rng import (
+    SPLITMIX_GAMMA,
+    SPLITMIX_MASK,
+    SPLITMIX_MIX1,
+    SPLITMIX_MIX2,
+    SPLITMIX_SCALE,
+    SplitMix,
+)
 from repro.workloads.trace import Trace, TraceMetadata
 
 _STREAM_KINDS = ("cyclic", "zipf", "streaming", "recency")
@@ -103,67 +110,31 @@ class SetGroupSpec:
             )
 
 
-class _SetStream:
-    """Per-set tag stream state (one instance per cache set)."""
+#: Tag offset for injected compulsory-miss blocks: far above any
+#: working-set tag so the two populations never alias.
+_STREAM_BASE = 1 << 24
 
-    __slots__ = ("kind", "ws_size", "position", "zipf_cdf", "reuse_mean",
-                 "new_fraction", "frontier", "stream_fraction", "stream_next")
+#: Stream kinds as small ints for the kernel's dispatch.  ``_INJECTED``
+#: is never a set's kind: it marks an access that drew a compulsory-miss
+#: block instead of extending the set's own stream.
+_CYCLIC, _RECENCY, _ZIPF, _STREAMING, _INJECTED = range(5)
+_KIND_CODES = {
+    "cyclic": _CYCLIC, "recency": _RECENCY,
+    "zipf": _ZIPF, "streaming": _STREAMING,
+}
 
-    #: Tag offset for injected compulsory-miss blocks: far above any
-    #: working-set tag so the two populations never alias.
-    _STREAM_BASE = 1 << 24
 
-    def __init__(self, spec: SetGroupSpec, ws_size: int) -> None:
-        self.kind = spec.kind
-        self.ws_size = ws_size
-        self.position = 0
-        self.frontier = 0
-        self.stream_fraction = spec.stream_fraction
-        self.stream_next = self._STREAM_BASE
-        self.reuse_mean = spec.reuse_mean
-        self.new_fraction = spec.new_fraction
-        self.zipf_cdf: Optional[List[float]] = None
-        if spec.kind == "zipf":
-            masses = [1.0 / (rank ** spec.zipf_alpha)
-                      for rank in range(1, ws_size + 1)]
-            total = sum(masses)
-            running = 0.0
-            cdf = []
-            for mass in masses:
-                running += mass / total
-                cdf.append(running)
-            cdf[-1] = 1.0
-            self.zipf_cdf = cdf
-
-    def next_tag(self, rng: SplitMix) -> int:
-        """Produce the next tag referenced by this set's working set."""
-        if self.stream_fraction > 0.0 and rng.random() < self.stream_fraction:
-            tag = self.stream_next
-            self.stream_next += 1
-            return tag
-        kind = self.kind
-        if kind == "cyclic":
-            tag = self.position
-            self.position += 1
-            if self.position >= self.ws_size:
-                self.position = 0
-            return tag
-        if kind == "zipf":
-            return bisect_right(self.zipf_cdf, rng.random())
-        if kind == "streaming":
-            tag = self.position
-            self.position += 1
-            return tag
-        # recency: geometric reuse over a moving frontier of new blocks.
-        if self.frontier == 0 or rng.random() < self.new_fraction:
-            tag = self.frontier
-            self.frontier += 1
-            return tag
-        distance = 0
-        escape = 1.0 / self.reuse_mean
-        while rng.random() > escape and distance < self.frontier - 1:
-            distance += 1
-        return self.frontier - 1 - distance
+def _zipf_cdf(ws_size: int, alpha: float) -> List[float]:
+    """Cumulative zipf popularity over ranks ``1..ws_size``."""
+    masses = [1.0 / (rank ** alpha) for rank in range(1, ws_size + 1)]
+    total = sum(masses)
+    running = 0.0
+    cdf = []
+    for mass in masses:
+        running += mass / total
+        cdf.append(running)
+    cdf[-1] = 1.0
+    return cdf
 
 
 @dataclass
@@ -208,6 +179,12 @@ def generate_trace(
     (optionally shuffled so groups interleave across the index space,
     which keeps DIP's leader-set sampling representative), then accesses
     pick a set by weighted sampling and extend that set's stream.
+
+    The per-access loop is the synthesis hot path.  It keeps each set's
+    stream state in flat per-set lists and steps SplitMix64 inline, yet
+    makes exactly the draws, in exactly the order, that one
+    ``SplitMix.random()`` per draw would: every trace is byte-identical
+    to the object-per-set formulation (DESIGN.md §9).
     """
     if length <= 0:
         raise ConfigError(f"length must be positive, got {length}")
@@ -218,9 +195,16 @@ def generate_trace(
     set_indices = list(range(num_sets))
     if spec.shuffle_sets:
         rng.shuffle(set_indices)
-    # Deal sets to groups.
-    streams: List[Optional[_SetStream]] = [None] * num_sets
-    weights: List[float] = [0.0] * num_sets
+    # Deal sets to groups.  Rounding can leave a set unassigned (tiny
+    # configurations); it keeps a zero-weight streaming stream so a
+    # boundary tie in the sampler below still produces a valid access.
+    kinds = [_STREAMING] * num_sets
+    ws_sizes = [1] * num_sets
+    weights = [0.0] * num_sets
+    stream_fractions = [0.0] * num_sets
+    new_fractions = [0.0] * num_sets
+    escapes = [0.0] * num_sets
+    cdfs: List[List[float]] = [[]] * num_sets
     cursor = 0
     for group_number, group in enumerate(spec.groups):
         if group_number == len(spec.groups) - 1:
@@ -229,18 +213,17 @@ def generate_trace(
             count = max(1, round(group.fraction * num_sets))
         for set_index in set_indices[cursor:cursor + count]:
             ws_size = rng.randint(group.ws_min, group.ws_max)
-            streams[set_index] = _SetStream(group, ws_size)
+            kinds[set_index] = _KIND_CODES[group.kind]
+            ws_sizes[set_index] = ws_size
             weights[set_index] = group.weight
+            stream_fractions[set_index] = group.stream_fraction
+            new_fractions[set_index] = group.new_fraction
+            escapes[set_index] = 1.0 / group.reuse_mean
+            if group.kind == "zipf":
+                cdfs[set_index] = _zipf_cdf(ws_size, group.zipf_alpha)
         cursor += count
         if cursor >= num_sets:
             break
-    # Rounding can leave a set unassigned (tiny configurations); give it
-    # a zero-weight streaming stream so a boundary tie in the sampler
-    # below still produces a valid access.
-    fallback = SetGroupSpec(fraction=1.0, weight=1.0, kind="streaming")
-    for set_index in range(num_sets):
-        if streams[set_index] is None:
-            streams[set_index] = _SetStream(fallback, 1)
     # Weighted set selection via a cumulative table + binary search.
     cumulative: List[float] = []
     running = 0.0
@@ -249,17 +232,87 @@ def generate_trace(
         cumulative.append(running)
     total_weight = running
     addresses: List[int] = []
-    writes: Optional[List[bool]] = [] if spec.write_fraction > 0.0 else None
     append = addresses.append
-    compose = mapper.compose
+    write_fraction = spec.write_fraction
+    writes: Optional[List[bool]] = [] if write_fraction > 0.0 else None
+    offset_bits = mapper.offset_bits
+    index_bits = mapper.index_bits
+    last_set = num_sets - 1
+    # Cyclic/streaming position, or the recency frontier, per set.
+    cursors = [0] * num_sets
+    stream_next = [_STREAM_BASE] * num_sets
+    # Every draw below is SplitMix.random() written out:
+    #     state = (state + gamma) & mask
+    #     z = ((state ^ (state >> 30)) * mix1) & mask
+    #     z = ((z ^ (z >> 27)) * mix2) & mask
+    #     (z ^ (z >> 31)) / scale
+    state = rng.state
+    gamma, mask = SPLITMIX_GAMMA, SPLITMIX_MASK
+    mix1, mix2, scale = SPLITMIX_MIX1, SPLITMIX_MIX2, SPLITMIX_SCALE
     for _ in range(length):
-        set_index = bisect_right(cumulative, rng.random() * total_weight)
-        if set_index >= num_sets:
-            set_index = num_sets - 1
-        tag = streams[set_index].next_tag(rng)
-        append(compose(tag, set_index))
+        state = (state + gamma) & mask
+        z = ((state ^ (state >> 30)) * mix1) & mask
+        z = ((z ^ (z >> 27)) * mix2) & mask
+        set_index = bisect_right(
+            cumulative, (z ^ (z >> 31)) / scale * total_weight
+        )
+        if set_index > last_set:
+            set_index = last_set
+        kind = kinds[set_index]
+        fraction = stream_fractions[set_index]
+        if fraction > 0.0:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            if (z ^ (z >> 31)) / scale < fraction:
+                kind = _INJECTED
+        if kind == _CYCLIC:
+            tag = cursors[set_index]
+            following = tag + 1
+            if following >= ws_sizes[set_index]:
+                following = 0
+            cursors[set_index] = following
+        elif kind == _RECENCY:
+            # Geometric reuse over a moving frontier of new blocks.
+            tag = cursors[set_index]
+            fresh = tag == 0
+            if not fresh:
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * mix1) & mask
+                z = ((z ^ (z >> 27)) * mix2) & mask
+                fresh = (z ^ (z >> 31)) / scale < new_fractions[set_index]
+            if fresh:
+                cursors[set_index] = tag + 1
+            else:
+                # Walk back from the newest block; every step draws,
+                # including the one that stops at the oldest block.
+                tag -= 1
+                escape = escapes[set_index]
+                while True:
+                    state = (state + gamma) & mask
+                    z = ((state ^ (state >> 30)) * mix1) & mask
+                    z = ((z ^ (z >> 27)) * mix2) & mask
+                    if (z ^ (z >> 31)) / scale > escape and tag > 0:
+                        tag -= 1
+                    else:
+                        break
+        elif kind == _ZIPF:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            tag = bisect_right(cdfs[set_index], (z ^ (z >> 31)) / scale)
+        elif kind == _STREAMING:
+            tag = cursors[set_index]
+            cursors[set_index] = tag + 1
+        else:
+            tag = stream_next[set_index]
+            stream_next[set_index] = tag + 1
+        append(((tag << index_bits) | set_index) << offset_bits)
         if writes is not None:
-            writes.append(rng.random() < spec.write_fraction)
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            writes.append((z ^ (z >> 31)) / scale < write_fraction)
     instructions = max(1, round(length * 1000.0
                                 / spec.accesses_per_kilo_instruction))
     metadata = TraceMetadata(

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+import repro.sim.campaign as campaign_module
+import repro.sim.parallel as parallel_module
 from repro.cli import main
 from repro.common.errors import (
     CampaignError,
@@ -39,6 +41,28 @@ def write_spec(tmp_path, document, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return path
+
+
+def count_synthesis(monkeypatch):
+    """Record each (benchmark, sets, length) the campaign synthesises."""
+    calls = []
+    original = campaign_module.make_benchmark_trace
+
+    def counting(name, num_sets, length):
+        calls.append((name, num_sets, length))
+        return original(name, num_sets=num_sets, length=length)
+
+    monkeypatch.setattr(campaign_module, "make_benchmark_trace", counting)
+    return calls
+
+
+def journaled_keys(directory):
+    """Cell index -> the run-cache key its ``cell_done`` record holds."""
+    records, _ = load_journal(directory / "campaign.jsonl")
+    return {
+        record["cell"]: record["key"]
+        for record in records if record["kind"] == "cell_done"
+    }
 
 
 SMALL = {
@@ -181,7 +205,7 @@ class TestBuildCells:
     def test_order_and_indices(self, tmp_path):
         spec = load_campaign_spec(write_spec(tmp_path, SMALL))
         cells = build_cells(spec)
-        assert [cell.spec.index for cell in cells] == list(range(4))
+        assert [cell.index for cell in cells] == list(range(4))
         # Benchmark-major (sorted), scheme-minor.
         assert [cell.cell_id for cell in cells] == [
             "art/lru/g64x8/s44257",
@@ -192,7 +216,7 @@ class TestBuildCells:
 
     def test_single_axis_labels_are_plain(self, tmp_path):
         spec = load_campaign_spec(write_spec(tmp_path, SMALL))
-        labels = {cell.spec.label for cell in build_cells(spec)}
+        labels = {cell.label for cell in build_cells(spec)}
         assert labels == {"LRU", "STEM"}
 
     def test_multi_axis_labels(self, tmp_path):
@@ -205,16 +229,14 @@ class TestBuildCells:
         spec = load_campaign_spec(write_spec(tmp_path, document))
         cells = build_cells(spec)
         assert len(cells) == 2 * 2 * 2 * 2 * 2
-        labels = [cell.spec.label for cell in cells]
+        labels = [cell.label for cell in cells]
         assert "LRU@64x8#s1" in labels
         assert "STEM@64x16#s2!sc_s:2" in labels
         # Labels are unique per workload: no two cells of one benchmark
         # collide in the result matrix.
         per_bench = {}
         for cell in cells:
-            per_bench.setdefault(cell.spec.trace.name, []).append(
-                cell.spec.label
-            )
+            per_bench.setdefault(cell.benchmark, []).append(cell.label)
         for bench_labels in per_bench.values():
             assert len(bench_labels) == len(set(bench_labels))
 
@@ -222,10 +244,23 @@ class TestBuildCells:
         document = dict(SMALL, fault_plans=["sc_s:2"])
         spec = load_campaign_spec(write_spec(tmp_path, document))
         cells = build_cells(spec)
-        assert all(cell.spec.fault_plan == "sc_s:2" for cell in cells)
+        trace = make_benchmark_trace("mcf", num_sets=64, length=1_000)
+        assert all(
+            cell.cell_spec(spec, trace).fault_plan == "sc_s:2"
+            for cell in cells
+        )
         assert all(
             cell.cell_id.endswith("/f=sc_s:2") for cell in cells
         )
+
+    def test_expansion_synthesises_no_trace(self, tmp_path, monkeypatch):
+        calls = count_synthesis(monkeypatch)
+        spec = load_campaign_spec(write_spec(tmp_path, SMALL))
+        cells = build_cells(spec)
+        assert calls == []
+        assert {cell.trace_key(spec) for cell in cells} == {
+            ("art", 64, 6_000), ("mcf", 64, 6_000),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +463,53 @@ class TestRunCampaign:
         assert "4 cells" in status and "4 done" in status
         with pytest.raises(CampaignError, match="no campaign journal"):
             campaign_status(tmp_path / "nowhere")
+
+
+# ----------------------------------------------------------------------
+# Traces are synthesised only for the cells that execute
+# ----------------------------------------------------------------------
+
+class TestSynthesisOnDemand:
+    def test_complete_resume_synthesises_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory, jobs=2)
+        calls = count_synthesis(monkeypatch)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a complete resume started a worker")
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
+        outcome = run_campaign(spec_path, directory=directory, jobs=2)
+        assert (outcome.executed, outcome.resumed) == (0, 4)
+        assert calls == []
+
+    def test_lost_cache_entry_synthesises_one_trace(
+        self, tmp_path, monkeypatch
+    ):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory, jobs=1)
+        before = output_bytes(directory)
+        # Cell 2 is mcf/lru: benchmark-major over the sorted benchmarks.
+        key = journaled_keys(directory)[2]
+        RunCache(directory / "runcache").path_for(key).unlink()
+        calls = count_synthesis(monkeypatch)
+        outcome = run_campaign(spec_path, directory=directory, jobs=1)
+        assert calls == [("mcf", 64, 6_000)]
+        assert (outcome.executed, outcome.resumed) == (1, 3)
+        assert output_bytes(directory) == before
+
+    def test_cold_runs_agree_across_job_counts(self, tmp_path):
+        spec_path = write_spec(tmp_path, SMALL)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        run_campaign(spec_path, directory=serial, jobs=1)
+        run_campaign(spec_path, directory=pooled, jobs=2)
+        assert output_bytes(pooled) == output_bytes(serial)
+        assert journaled_keys(pooled) == journaled_keys(serial)
+        assert len(journaled_keys(serial)) == 4
 
 
 # ----------------------------------------------------------------------

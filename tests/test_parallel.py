@@ -6,7 +6,12 @@ import repro.sim.config as sim_config
 from repro.common.errors import ConfigError, SimulationError
 from repro.sim.cache import RunCache, result_from_dict, result_to_dict
 from repro.sim.config import ExperimentScale, make_scheme
-from repro.sim.parallel import CellSpec, ParallelRunner, cell_cache_key
+from repro.sim.parallel import (
+    CellSpec,
+    ParallelRunner,
+    cell_cache_key,
+    ordered_map,
+)
 from repro.sim.runner import associativity_sweep, run_benchmarks, run_matrix
 from repro.sim.simulator import run_trace
 from repro.obs.profile import RunProfiler
@@ -142,9 +147,30 @@ class TestParallelEquivalence:
             ("omnetpp", "LRU"), ("omnetpp", "STEM"),
         ]
 
+    def test_run_benchmarks_parallel_matches_serial(self):
+        # max_workers fans out the trace synthesis as well as the cells.
+        kwargs = dict(
+            benchmarks=["vpr", "mcf", "omnetpp"],
+            scale=ExperimentScale(
+                num_sets=64, associativity=16, trace_length=4_000
+            ),
+            seed=3,
+        )
+        serial = run_benchmarks(["lru", "stem"], **kwargs)
+        parallel = run_benchmarks(["lru", "stem"], max_workers=2, **kwargs)
+        assert _matrix_fingerprint(parallel) == _matrix_fingerprint(serial)
+        assert serial.workloads == ["vpr", "mcf", "omnetpp"]
+
+    def test_ordered_map_keeps_input_order(self):
+        items = [5, -3, 0, -8, 2]
+        assert ordered_map(abs, items, max_workers=2) == [5, 3, 0, 8, 2]
+        assert ordered_map(abs, items) == [5, 3, 0, 8, 2]
+
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigError, match="max_workers"):
             ParallelRunner(max_workers=0)
+        with pytest.raises(ConfigError, match="max_workers"):
+            ordered_map(abs, [1], max_workers=0)
 
     def test_metrics_series_identical_across_worker_counts(
         self, monkeypatch

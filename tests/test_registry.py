@@ -1,5 +1,8 @@
 """Tests for the policy registry and top-level package surface."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -56,6 +59,23 @@ class TestPolicyRegistry:
 class TestPackageSurface:
     def test_version(self):
         assert repro.__version__
+
+    def test_pyproject_reads_the_package_version(self):
+        # One source of truth: packaging metadata must not pin its own
+        # copy of the version, which then drifts from the package's.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(repro.__file__).resolve().parents[2] / (
+            "pyproject.toml"
+        )
+        if not pyproject.is_file():
+            pytest.skip("not running from a source checkout")
+        document = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in document["project"]
+        assert "version" in document["project"]["dynamic"]
+        dynamic = document["tool"]["setuptools"]["dynamic"]
+        module_name, _, name = dynamic["version"]["attr"].rpartition(".")
+        module = importlib.import_module(module_name)
+        assert getattr(module, name) == repro.__version__
 
     def test_public_names_importable(self):
         for name in repro.__all__:
