@@ -253,15 +253,6 @@ class TestBuildCells:
             cell.cell_id.endswith("/f=sc_s:2") for cell in cells
         )
 
-    def test_expansion_synthesises_no_trace(self, tmp_path, monkeypatch):
-        calls = count_synthesis(monkeypatch)
-        spec = load_campaign_spec(write_spec(tmp_path, SMALL))
-        cells = build_cells(spec)
-        assert calls == []
-        assert {cell.trace_key(spec) for cell in cells} == {
-            ("art", 64, 6_000), ("mcf", 64, 6_000),
-        }
-
 
 # ----------------------------------------------------------------------
 # Journal durability and replay

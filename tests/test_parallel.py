@@ -161,11 +161,6 @@ class TestParallelEquivalence:
         assert _matrix_fingerprint(parallel) == _matrix_fingerprint(serial)
         assert serial.workloads == ["vpr", "mcf", "omnetpp"]
 
-    def test_ordered_map_keeps_input_order(self):
-        items = [5, -3, 0, -8, 2]
-        assert ordered_map(abs, items, max_workers=2) == [5, 3, 0, 8, 2]
-        assert ordered_map(abs, items) == [5, 3, 0, 8, 2]
-
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigError, match="max_workers"):
             ParallelRunner(max_workers=0)
