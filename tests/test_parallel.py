@@ -4,6 +4,8 @@ import pytest
 
 import repro.sim.config as sim_config
 from repro.common.errors import ConfigError, SimulationError
+from repro.obs import RingBufferSink, Tracer
+from repro.obs.ledger import LedgerSink
 from repro.sim.cache import RunCache, result_from_dict, result_to_dict
 from repro.sim.config import ExperimentScale, make_scheme
 from repro.sim.parallel import (
@@ -59,13 +61,46 @@ BATCHED_SCHEMES = [
     "nru", "srrip", "drrip", "pelifo", "stem",
 ]
 
+#: Sinks attached to both caches: none, the ledger alone (it reads only
+#: capacity-flow events), and the ledger plus a sink reading every event.
+OBSERVERS = ("none", "ledger", "ledger+ring")
+
+BATCH_CELLS = [
+    pytest.param(
+        scheme, observers,
+        id=scheme if observers == "none" else f"{scheme}-{observers}",
+    )
+    for observers in OBSERVERS for scheme in BATCHED_SCHEMES
+]
+
+
+def _observed_scheme(scheme, observers):
+    ledger = LedgerSink() if observers != "none" else None
+    ring = RingBufferSink() if observers == "ledger+ring" else None
+    sinks = [sink for sink in (ledger, ring) if sink is not None]
+    tracer = Tracer(*sinks) if sinks else None
+    cache = make_scheme(scheme, SCALE.geometry(), seed=7, tracer=tracer)
+    return cache, ledger, ring
+
+
+def _sealed(cache, ledger):
+    stats = cache.stats
+    return ledger.seal(
+        final_accesses=stats.accesses, final_hits=stats.hits,
+        counters=cache.ledger_counters(),
+    ).as_dict()
+
 
 class TestBatchExactness:
-    @pytest.mark.parametrize("scheme", BATCHED_SCHEMES)
-    def test_batch_matches_scalar(self, scheme):
+    @pytest.mark.parametrize("scheme,observers", BATCH_CELLS)
+    def test_batch_matches_scalar(self, scheme, observers):
         trace = small_trace("omnetpp", 6_000, write_fraction=0.3)
-        scalar = make_scheme(scheme, SCALE.geometry(), seed=7)
-        batched = make_scheme(scheme, SCALE.geometry(), seed=7)
+        scalar, scalar_ledger, scalar_ring = _observed_scheme(
+            scheme, observers
+        )
+        batched, batched_ledger, batched_ring = _observed_scheme(
+            scheme, observers
+        )
         batch = getattr(batched, "access_batch", None)
         assert batch is not None, f"{scheme} lost its batch path"
 
@@ -78,6 +113,13 @@ class TestBatchExactness:
         assert batched.stats.as_dict() == scalar.stats.as_dict()
         if hasattr(scalar, "rng") and hasattr(batched, "rng"):
             assert batched.rng.state == scalar.rng.state
+        assert batched.ledger_counters() == scalar.ledger_counters()
+        assert batched.tracer.events_emitted == scalar.tracer.events_emitted
+        if scalar_ledger is not None:
+            assert _sealed(batched, batched_ledger) == \
+                _sealed(scalar, scalar_ledger)
+        if scalar_ring is not None:
+            assert batched_ring.events == scalar_ring.events
 
     def test_batch_split_matches_whole(self):
         # Flushing mid-stream (warm-up boundary) must not change counts.
