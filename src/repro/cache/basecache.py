@@ -138,10 +138,13 @@ class SetAssociativeCache:
         (same final state, same statistics), but with the set-index/tag
         split hoisted out and hot attributes bound to locals.  Recency
         policies with no eviction listener additionally get the policy
-        protocol inlined.  With a tracer attached, falls back to the
-        scalar path so per-event ``stats.accesses`` snapshots stay exact.
+        protocol inlined.  Under a tracer the per-set ledger hit counter
+        keeps counting and inlined evictions are counted, not built.
+        Only a sink reading every event sends the loop back to the
+        scalar path, where each event's ``stats`` snapshot is exact.
         """
-        if self.tracer.enabled:
+        tracer = self.tracer
+        if tracer.full:
             access = self.access
             if writes is None:
                 for n in range(start, stop):
@@ -158,6 +161,8 @@ class SetAssociativeCache:
         dirty_rows = self._dirty
         free_lists = self._free_ways
         has_writes = writes is not None
+        traced = tracer.enabled
+        led_hits = self._led_hits
         hits = evictions = writebacks = 0
         if (
             isinstance(policy, RecencyPolicy)
@@ -184,6 +189,8 @@ class SetAssociativeCache:
                 way = table.get(tag)
                 if way is not None:
                     hits += 1
+                    if traced:
+                        led_hits[set_index] += 1
                     if has_writes and writes[n]:
                         dirty_rows[set_index][way] = True
                     if inline_hit:
@@ -236,6 +243,8 @@ class SetAssociativeCache:
                 way = table.get(tag)
                 if way is not None:
                     hits += 1
+                    if traced:
+                        led_hits[set_index] += 1
                     if has_writes and writes[n]:
                         dirty_rows[set_index][way] = True
                     on_hit(set_index, way)
@@ -260,6 +269,8 @@ class SetAssociativeCache:
         stats.misses_single_probe += misses
         stats.evictions += evictions
         stats.writebacks += writebacks
+        if traced and evictions:
+            tracer.skip(evictions)
 
     def _evict(self, set_index: int, way: int) -> None:
         """Remove the block in ``way`` and account for its write-back."""
@@ -272,13 +283,16 @@ class SetAssociativeCache:
             self._dirty[set_index][way] = False
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(Eviction(
-                access=self.stats.accesses,
-                set_index=set_index,
-                global_access=self._access_base + self.stats.accesses,
-                tag=old_tag,
-                dirty=dirty,
-            ))
+            if tracer.full:
+                tracer.emit(Eviction(
+                    access=self.stats.accesses,
+                    set_index=set_index,
+                    global_access=self._access_base + self.stats.accesses,
+                    tag=old_tag,
+                    dirty=dirty,
+                ))
+            else:
+                tracer.skip()
         if self.eviction_listener is not None:
             block_address = self.mapper.compose(old_tag, set_index)
             self.eviction_listener(block_address, dirty)

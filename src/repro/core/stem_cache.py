@@ -220,12 +220,15 @@ class StemCache:
             stats.shadow_hits += 1
             tracer = self.tracer
             if tracer.enabled:
-                tracer.emit(ShadowHit(
-                    access=stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + stats.accesses,
-                    signature=signature,
-                ))
+                if tracer.full:
+                    tracer.emit(ShadowHit(
+                        access=stats.accesses,
+                        set_index=set_index,
+                        global_access=self._access_base + stats.accesses,
+                        signature=signature,
+                    ))
+                else:
+                    tracer.skip()
         self._fill(set_index, tag, is_write)
         if monitor.wants_policy_swap:
             if self.config.enable_temporal and not self._in_safe_mode[set_index]:
@@ -260,18 +263,12 @@ class StemCache:
         miss to :meth:`_access_miss`, so final state and statistics are
         identical to the scalar loop.  Locally accumulated counters are
         flushed into :attr:`stats` before each miss, keeping any
-        mid-run reader exact.  With a tracer attached, falls back to
-        the scalar path so per-event ``stats.accesses`` stays exact.
+        mid-run reader exact.  That flush also keeps tracing exact:
+        every STEM event comes from the miss path, so each one sees the
+        same ``stats`` snapshot as on the scalar path, and the loop
+        stays on under any tracer, updating the ledger hit counters on
+        hits.
         """
-        if self.tracer.enabled:
-            access = self.access
-            if writes is None:
-                for n in range(start, stop):
-                    access(addresses[n])
-            else:
-                for n in range(start, stop):
-                    access(addresses[n], writes[n])
-            return
         config = self.config
         stats = self.stats
         lookup = self._lookup
@@ -295,6 +292,10 @@ class StemCache:
             # the table ready makes that a pair of list lookups too.
             Lfsr.jump_table(config.bip_throttle_bits)
         has_writes = writes is not None
+        traced = self.tracer.enabled
+        led_hits = self._led_hits
+        led_bip = self._led_bip
+        modes = self._mode
         acc = hits = 0
         for n in range(start, stop):
             set_index = set_indices[n]
@@ -309,6 +310,10 @@ class StemCache:
                 continue
             acc += 1
             hits += 1
+            if traced:
+                led_hits[set_index] += 1
+                if modes[set_index] == _MODE_BIP:
+                    led_bip[set_index] += 1
             monitor = monitors[set_index]
             # Inlined SetMonitor.record_local_hit: SC_T -1 always,
             # SC_S -1 once per 2**ratio_bits hits (LFSR-decided).
@@ -383,13 +388,16 @@ class StemCache:
             self.stats.spill_rejects += 1
             tracer = self.tracer
             if tracer.enabled:
-                tracer.emit(SpillReject(
-                    access=self.stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + self.stats.accesses,
-                    giver=giver,
-                    tag=victim_tag,
-                ))
+                if tracer.full:
+                    tracer.emit(SpillReject(
+                        access=self.stats.accesses,
+                        set_index=set_index,
+                        global_access=self._access_base + self.stats.accesses,
+                        giver=giver,
+                        tag=victim_tag,
+                    ))
+                else:
+                    tracer.skip()
         self._evict_off_chip(set_index, victim_tag, dirty)
 
     def _receiving_allowed(self, giver: int) -> bool:
@@ -496,14 +504,17 @@ class StemCache:
         self._way_key[set_index][way] = None
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(Eviction(
-                access=self.stats.accesses,
-                set_index=set_index,
-                global_access=self._access_base + self.stats.accesses,
-                tag=key >> 1,
-                dirty=self._dirty[set_index][way],
-                cooperative=bool(key & 1),
-            ))
+            if tracer.full or key & 1:
+                tracer.emit(Eviction(
+                    access=self.stats.accesses,
+                    set_index=set_index,
+                    global_access=self._access_base + self.stats.accesses,
+                    tag=key >> 1,
+                    dirty=self._dirty[set_index][way],
+                    cooperative=bool(key & 1),
+                ))
+            else:
+                tracer.skip()
         self._dirty[set_index][way] = False
         self._order[set_index].remove(way)
         self.stats.evictions += 1

@@ -4,8 +4,10 @@ Every interesting micro-architectural action — a block leaving a set, a
 victim spilling into a coupled partner, a pair forming or dissolving, a
 per-set policy swap, a shadow-set hit — has a small frozen dataclass
 here.  Events are *data*: caches construct them only when a tracer is
-enabled, sinks serialise them (``as_dict``), and the inspection helpers
-rebuild them from JSONL logs (``event_from_dict``).
+enabled (and the frequent events outside :data:`CAPACITY_FLOW_KINDS`
+only when a sink reads every event), sinks serialise them
+(``as_dict``), and the inspection helpers rebuild them from JSONL logs
+(``event_from_dict``).
 
 All events share three fields:
 
@@ -201,6 +203,23 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         SafeModeEntry,
     )
 }
+
+
+#: Kinds whose every event is a capacity-flow event.  Together with the
+#: *cooperative* evictions (a giver dropping a block it cached for its
+#: taker) they are everything the capacity-flow ledger reads; a tracer
+#: whose sinks read nothing else counts the other events without
+#: building them (DESIGN.md §14).
+CAPACITY_FLOW_KINDS = frozenset(
+    {"coupling", "decoupling", "spill", "coop_hit", "policy_swap"}
+)
+
+
+def is_capacity_flow(event: TraceEvent) -> bool:
+    """True for the events a capacity-flow sink reads."""
+    return event.kind in CAPACITY_FLOW_KINDS or (
+        isinstance(event, Eviction) and event.cooperative
+    )
 
 
 def event_from_dict(record: Dict[str, Any]) -> TraceEvent:

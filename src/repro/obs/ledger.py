@@ -27,7 +27,9 @@ events seen.  A violation raises
 
 The sink is an ordinary tracer sink, so it rides the existing
 zero-overhead-when-disabled contract: a run without a ledger constructs
-neither the sink nor a tracer, and pays nothing.  Everything the ledger
+neither the sink nor a tracer, and pays nothing.  It reads only the
+capacity-flow events, so a tracer carrying no other sink builds no
+event the ledger would discard (DESIGN.md §14).  Everything the ledger
 derives comes from deterministic events, so its serialised form is
 byte-stable across repeated runs and across serial/parallel execution.
 """
@@ -267,7 +269,15 @@ class LedgerSink:
     *orphans* rather than mis-attributed.  An intact stream has none;
     fault campaigns that corrupt the association table produce a few,
     and the conservation checks account for them explicitly.
+
+    The ledger reads only capacity-flow events
+    (:func:`~repro.obs.events.is_capacity_flow`).  A tracer with no sink
+    that reads every event counts the others through :meth:`skip`
+    without building them, so :attr:`events_seen` is the same either
+    way.
     """
+
+    reads_every_event = False
 
     def __init__(self, episode_cap: int = DEFAULT_EPISODE_CAP) -> None:
         if episode_cap <= 0:
@@ -362,6 +372,12 @@ class LedgerSink:
             self._closed.append(episode)
         else:
             self.episodes_dropped += 1
+
+    def skip(self, count: int) -> None:
+        """Count ``count`` events the tracer did not build."""
+        if self._sealed:
+            raise ConfigError("LedgerSink is sealed")
+        self.events_seen += count
 
     def record(self, event: TraceEvent) -> None:
         """Consume one event (kinds the ledger ignores still count)."""

@@ -75,9 +75,9 @@ def run_matrix(
     ``ledger=True`` attaches the capacity-flow ledger to every cell, so
     each :class:`RunResult` carries a sealed
     :class:`~repro.obs.ledger.RunLedger` (DESIGN.md §14).  Ledgered
-    cells run on the scalar path (tracing forces it) but stay
-    deterministic: serial and parallel grids produce byte-identical
-    ledgers.
+    cells keep the ``access_batch`` path (only the columnar kernel
+    declines a traced cache) and stay deterministic: serial and
+    parallel grids produce byte-identical ledgers.
     """
     scale = scale if scale is not None else ExperimentScale.default()
     geometry = scale.geometry()

@@ -244,11 +244,13 @@ def run_trace(
     :class:`~repro.obs.ledger.LedgerSink` before warm-up and seals it
     into ``result.ledger`` after measurement: coupling episodes,
     policy-swap windows, and the per-set capacity-flow account, with
-    conservation verified at close.  Enabling the tracer forces the
-    scalar access path (per-event clocks must be exact), so ledgered
-    runs trade throughput for the audit — but stay deterministic and
-    byte-identical across serial and parallel execution.  The default
-    ``False`` touches nothing and costs nothing.
+    conservation verified at close.  The ledger reads only
+    capacity-flow events, so the other tracepoints count their events
+    without building them and ``access_batch`` stays on (DESIGN.md
+    §14); only the columnar kernel declines a traced cache.  Ledgered
+    runs stay deterministic and byte-identical across serial and
+    parallel execution.  The default ``False`` touches nothing and
+    costs nothing.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(

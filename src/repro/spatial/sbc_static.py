@@ -195,14 +195,17 @@ class StaticSbcCache:
         self._way_key[set_index][way] = None
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(Eviction(
-                access=self.stats.accesses,
-                set_index=set_index,
-                global_access=self._access_base + self.stats.accesses,
-                tag=key >> 1,
-                dirty=self._dirty[set_index][way],
-                cooperative=bool(key & 1),
-            ))
+            if tracer.full or key & 1:
+                tracer.emit(Eviction(
+                    access=self.stats.accesses,
+                    set_index=set_index,
+                    global_access=self._access_base + self.stats.accesses,
+                    tag=key >> 1,
+                    dirty=self._dirty[set_index][way],
+                    cooperative=bool(key & 1),
+                ))
+            else:
+                tracer.skip()
         self._dirty[set_index][way] = False
         self._order[set_index].remove(way)
         self.stats.evictions += 1

@@ -150,13 +150,16 @@ class VwayCache:
             self._line_dirty[line] = False
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(Eviction(
-                access=self.stats.accesses,
-                set_index=set_index,
-                global_access=self._access_base + self.stats.accesses,
-                tag=tag,
-                dirty=dirty,
-            ))
+            if tracer.full:
+                tracer.emit(Eviction(
+                    access=self.stats.accesses,
+                    set_index=set_index,
+                    global_access=self._access_base + self.stats.accesses,
+                    tag=tag,
+                    dirty=dirty,
+                ))
+            else:
+                tracer.skip()
 
     def _allocate_line(self) -> int:
         """Hand out a data line, running reuse replacement if needed."""

@@ -54,6 +54,11 @@ def reference_outputs(tmp_path):
 
 
 def launch(spec_path, directory):
+    """Start a campaign in its own session.
+
+    The new session's process group holds the campaign and every pool
+    worker it forks, so :func:`reap` can kill them all at once.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR
     return subprocess.Popen(
@@ -62,7 +67,50 @@ def launch(spec_path, directory):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
+
+
+def group_alive(pgid):
+    """True while any process of group ``pgid`` has not exited."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we scanned
+        # Fields after the parenthesised command name: state, ppid, pgrp.
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            return True
+    return False
+
+
+def reap(process, deadline=30.0):
+    """SIGKILL the campaign's process group; assert none of it survives.
+
+    A SIGKILLed campaign parent leaves its pool workers blocked forever
+    on the executor's call queue, reparented to init.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group already exited
+    process.wait(timeout=60)
+    start = time.monotonic()
+    while group_alive(process.pid):
+        assert time.monotonic() - start < deadline, (
+            f"processes of group {process.pid} survived SIGKILL"
+        )
+        time.sleep(0.02)
 
 
 def count_done(journal_path):
@@ -115,9 +163,7 @@ class TestParentKill:
                 process.kill()  # SIGKILL: no handlers, no cleanup
             process.wait(timeout=60)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=60)
+            reap(process)
         # Whatever instant the kill landed at, the journal replays —
         # the only tolerated damage is a torn final line.
         records, truncated = load_journal(journal_path)
@@ -138,9 +184,7 @@ class TestParentKill:
                 process.kill()
             process.wait(timeout=60)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=60)
+            reap(process)
         done_before = len(replay_journal(journal_path).completed)
         outcome = run_campaign(spec_path, directory=directory, jobs=2)
         # Every journaled-done cell was served from the journal + run
@@ -192,9 +236,7 @@ class TestWorkerKill:
             # (unless the race let it finish first).
             process.wait(timeout=120)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=60)
+            reap(process)
         records, _truncated = load_journal(journal_path)
         assert records, "journal lost its fsynced records"
         assert resumed_outputs(spec_path, directory) == reference

@@ -7,7 +7,6 @@ sensitivity), the inspection aggregates, and the profiler report.
 """
 
 import json
-from time import perf_counter
 
 import pytest
 
@@ -48,7 +47,7 @@ from repro.obs.inspect import (
 )
 from repro.obs.manifest import describe_scheme
 from repro.obs.profile import PhaseTimer, RunProfiler
-from repro.sim.config import make_scheme
+from repro.sim.config import PAPER_SCHEMES, make_scheme
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
 
@@ -242,31 +241,40 @@ class TestNoOpOverhead:
         for name, values in counters.items():
             assert not any(values), f"{name} counted without a tracer"
 
-    def test_disabled_tracer_overhead_within_5_percent(self):
-        """Explicit no-op tracer vs. default on a 50k-access trace.
+    def test_disabled_tracer_builds_no_event(self, monkeypatch):
+        """No tracepoint builds or counts an event without a sink.
 
-        Both caches run the byte-identical guarded path (the default
-        *is* a disabled tracer), so this bounds measurement noise and
-        would catch any future unguarded tracepoint.  Interleaved
-        rounds + min-of-N keep the assertion stable under CI jitter.
+        Every event class refuses construction; then all six paper
+        schemes run on the batch and the scalar path, under the default
+        tracer and under a fresh sinkless ``Tracer()``.  An unguarded
+        tracepoint raises here, and one that counts instead of building
+        moves ``events_emitted``.
         """
+        def refuse(event, *args, **kwargs):
+            raise AssertionError(f"{type(event).__name__} built untraced")
+
+        for cls in EVENT_TYPES.values():
+            monkeypatch.setattr(cls, "__init__", refuse)
         trace = make_benchmark_trace("omnetpp", num_sets=64,
-                                     length=50_000)
-        addresses = trace.addresses
-
-        def timed_run(tracer):
-            cache = StemCache(GEOMETRY, tracer=tracer)
-            access = cache.access
-            start = perf_counter()
-            for address in addresses:
-                access(address)
-            return perf_counter() - start
-
-        baseline, noop = [], []
-        for _ in range(5):
-            baseline.append(timed_run(None))
-            noop.append(timed_run(Tracer()))
-        assert min(noop) <= min(baseline) * 1.05
+                                     length=20_000, write_fraction=0.3)
+        addresses, writes = trace.addresses, trace.writes
+        for scheme in PAPER_SCHEMES:
+            for tracer in (None, Tracer()):
+                scalar = make_scheme(scheme, GEOMETRY, tracer=tracer)
+                for address, write in zip(addresses, writes):
+                    scalar.access(address, bool(write))
+                assert scalar.tracer.events_emitted == 0
+                batched = make_scheme(scheme, GEOMETRY, tracer=tracer)
+                if getattr(batched, "access_batch", None) is not None:
+                    set_indices, tags = trace.precompute_geometry(
+                        batched.mapper
+                    )
+                    batched.access_batch(addresses, set_indices, tags,
+                                         writes, 0, len(addresses))
+                    assert batched.stats.as_dict() == scalar.stats.as_dict()
+                    assert batched.tracer.events_emitted == 0
+        assert NULL_TRACER.events_emitted == 0
+        assert not NULL_TRACER.enabled and not NULL_TRACER.full
 
 
 class TestManifest:
