@@ -7,7 +7,8 @@ and the README's *Observability* section):
   Every cache scheme takes an injectable :class:`Tracer` (defaulting to
   the disabled :data:`NULL_TRACER`) and emits typed events — evictions,
   spills and rejects, couplings/decouplings, policy swaps, shadow hits —
-  into ring-buffer or JSONL sinks.
+  into ring-buffer or JSONL sinks.  With only capacity-flow sinks (the
+  ledger) attached, events they do not read are counted, not built.
 * **manifest** — a :class:`RunManifest` attached to every
   ``RunResult``: scheme config, trace metadata, seed, wall-clock and
   platform info, plus a content hash over the deterministic inputs.

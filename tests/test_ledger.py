@@ -1,7 +1,9 @@
 """Tests for the capacity-flow ledger and the explain attribution.
 
 Covers :class:`repro.obs.ledger.LedgerSink` on synthetic event streams
-(episode lifecycle, orphans, swap windows, caps, conservation), sealed
+(episode lifecycle, orphans, swap windows, caps, conservation), the
+capacity-flow-only delivery rule (events no sink reads are counted,
+not built), sealed
 ledgers on real STEM runs (conservation against ``stats``, decouple
 reason vocabulary), the exact spatial/temporal/residual decomposition
 of :func:`repro.obs.explain.attribute`, byte-stability across repeated
@@ -17,6 +19,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cli import main
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.core.config import StemConfig
+from repro.obs import RingBufferSink, Tracer
 from repro.obs.events import (
     CoopHit,
     Coupling,
@@ -24,6 +27,7 @@ from repro.obs.events import (
     Eviction,
     PolicySwap,
     Spill,
+    is_capacity_flow,
 )
 from repro.obs.explain import attribute
 from repro.obs.htmlreport import explain_to_html
@@ -35,7 +39,7 @@ from repro.obs.ledger import (
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
 from repro.sim.cache import load_run, save_run
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import PAPER_SCHEMES, ExperimentScale, make_scheme
 from repro.sim.runner import run_matrix
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
@@ -272,6 +276,56 @@ class TestBoundsAndGuards:
         sink.seal(final_accesses=0, final_hits=0)
         with pytest.raises(ConfigError, match="sealed"):
             sink.seal(final_accesses=0, final_hits=0)
+
+
+class CapacityFlowSpy:
+    """A capacity-flow sink that keeps what the tracer sends it."""
+
+    reads_every_event = False
+
+    def __init__(self):
+        self.events = []
+        self.skipped = 0
+
+    def record(self, event):
+        self.events.append(event)
+
+    def skip(self, count):
+        self.skipped += count
+
+
+class TestCapacityFlowSinks:
+    def test_tracer_is_full_only_with_a_full_sink(self):
+        tracer = Tracer(LedgerSink())
+        assert tracer.enabled and not tracer.full
+        tracer.add_sink(RingBufferSink())
+        assert tracer.full
+
+    @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+    def test_unread_events_are_counted_not_built(self, scheme):
+        """Without a full sink only capacity-flow events are built.
+
+        They are the events a full sink receives, in the same order
+        and with the same snapshots; every other event is counted.
+        """
+        trace = make_benchmark_trace("omnetpp", num_sets=64,
+                                     length=20_000)
+        ring = RingBufferSink()
+        full = Tracer(ring)
+        run_trace(make_scheme(scheme, GEOMETRY, tracer=full), trace)
+        spy = CapacityFlowSpy()
+        partial = Tracer(spy)
+        run_trace(make_scheme(scheme, GEOMETRY, tracer=partial), trace)
+
+        assert spy.events == [e for e in ring.events if is_capacity_flow(e)]
+        assert len(spy.events) + spy.skipped == len(ring.events)
+        assert partial.events_emitted == full.events_emitted
+
+    def test_skip_after_seal_rejected(self):
+        sink = LedgerSink()
+        sink.seal(final_accesses=0, final_hits=0)
+        with pytest.raises(ConfigError, match="sealed"):
+            sink.skip(1)
 
 
 class TestConservation:
