@@ -25,7 +25,6 @@ On top of the ledger sit:
 
 from __future__ import annotations
 
-import json
 import platform
 import os
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro._version import __version__
 from repro.common.errors import ConfigError
+from repro.common.jsonl import TAIL, JsonlAppender, JsonlCorruption, read_jsonl
 
 #: Trailing entries (excluding the latest) a regression check uses as
 #: its reference window.
@@ -89,44 +89,27 @@ def make_entry(
 def append_history(
     path: Union[str, Path], entry: Dict[str, Any]
 ) -> Path:
-    """Append one entry to the ledger (one JSON line, flushed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    return path
+    """Append one entry to the ledger (one JSON line, fsynced)."""
+    with JsonlAppender(path, fsync=True) as ledger:
+        ledger.write(entry)
+    return Path(path)
 
 
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Read the ledger, oldest first; a missing file is empty history.
 
-    A malformed *final* line (a recorder killed mid-append) is dropped
-    with the same tolerance the event-log reader applies; a malformed
-    line anywhere else is corruption and raises.
+    A torn tail (a recorder killed mid-append) is dropped, per the
+    contract of :mod:`repro.common.jsonl`; a malformed line anywhere
+    else is corruption and raises.
     """
     path = Path(path)
     if not path.is_file():
         return []
-    entries: List[Dict[str, Any]] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    content = [
-        (number, line) for number, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-    for position, (number, line) in enumerate(content):
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if position == len(content) - 1:
-                break
-            raise ConfigError(
-                f"{path}:{number}: malformed ledger line"
-            ) from exc
-        if isinstance(entry, dict):
-            entries.append(entry)
-    return entries
+    try:
+        read = read_jsonl(path, TAIL)
+    except JsonlCorruption as exc:
+        raise ConfigError(f"{path}:{exc.line}: malformed ledger line") from exc
+    return [entry for entry in read.records if isinstance(entry, dict)]
 
 
 def scheme_trajectories(

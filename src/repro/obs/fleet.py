@@ -11,7 +11,7 @@ stopped) long before the in-worker
 The aggregator only ever reads; it is safe to run concurrently with the
 grid it observes (``repro top``), from another process, or after the
 fact.  Torn final lines — live writers, crashed workers — are
-tolerated, mirroring ``load_events(strict=False)``.
+skipped, like any damaged line (:data:`repro.common.jsonl.SKIP`).
 
 Cell states
 -----------

@@ -20,7 +20,7 @@ Ingestion contract
 * **Torn-tail tolerant.**  Campaign journals are replayed through
   :func:`~repro.sim.campaign.replay_journal` and the bench ledger
   through :func:`~repro.obs.benchhistory.load_history`, both of which
-  tolerate a torn final line (the ``strict=False`` recovery idiom) —
+  tolerate a torn final line (:data:`repro.common.jsonl.TAIL`) —
   a crashed writer never blocks ingestion.
 * **Defensive.**  A path that is not a recognised artifact is recorded
   in ``IngestReport.skipped`` with the reason, never raised.

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Deque, List, Optional, TextIO, Tuple, Union
 
 from repro.common.errors import ConfigError
+from repro.common.jsonl import SKIP, STRICT, JsonlCorruption, read_jsonl
 from repro.obs.events import TraceEvent, event_from_dict
 
 
@@ -146,7 +147,8 @@ def load_events(
     line mid-file) or a record no registered event type accepts (a log
     from a newer writer) — is skipped: the readable events are returned
     and a single :class:`UserWarning` reports which lines were dropped.
-    Under ``strict=True`` (the default) the first bad line raises
+    Under ``strict=True`` (the default) the first bad line, a final
+    line without its newline included, raises
     :class:`~repro.common.errors.ConfigError` naming it.
     """
     events, skipped = load_events_report(path, strict=strict)
@@ -172,22 +174,10 @@ def load_events_report(
     skipped — the first unreadable line raises instead — so the report
     form only adds information with ``strict=False``.
     """
-    events: List[TraceEvent] = []
-    skipped: List[int] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            events.append(event_from_dict(record))
-        except (json.JSONDecodeError, ConfigError, TypeError) as exc:
-            if not strict:
-                skipped.append(line_number)
-                continue
-            raise ConfigError(
-                f"{path}:{line_number}: malformed event line"
-            ) from exc
-    return events, skipped
+    try:
+        read = read_jsonl(
+            path, STRICT if strict else SKIP, convert=event_from_dict
+        )
+    except JsonlCorruption as exc:
+        raise ConfigError(f"{path}:{exc.line}: malformed event line") from exc
+    return read.records, read.skipped

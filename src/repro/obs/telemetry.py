@@ -41,21 +41,21 @@ with it on or off.
 
 Crash behaviour: status files are appended line-by-line and flushed per
 event, and writers register an ``atexit`` flush, so a dying worker
-loses at most one truncated final line — which the reader tolerates,
-mirroring ``load_events(strict=False)``.
+loses at most one truncated final line — which the reader skips, like
+any damaged line, under :data:`repro.common.jsonl.SKIP`.
 """
 
 from __future__ import annotations
 
-import atexit
 import gc
-import json
 import os
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+from repro.common.jsonl import SKIP, JsonlAppender, read_jsonl
 
 try:  # resource is POSIX-only; telemetry degrades gracefully without it
     import resource
@@ -138,43 +138,6 @@ class TelemetrySpec:
     heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS
 
 
-class _JsonlAppender:
-    """Append-one-JSON-line-per-event file with per-event flush.
-
-    Opened lazily in append mode so retries and parent/worker handoffs
-    never truncate earlier records; registers an ``atexit`` close so a
-    worker that exits without unwinding still flushes its tail.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[TextIO] = None
-
-    def _ensure_open(self) -> TextIO:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-            atexit.register(self.close)
-        return self._handle
-
-    def append(self, record: Dict[str, Any]) -> None:
-        handle = self._ensure_open()
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            atexit.unregister(self.close)
-
-    def __enter__(self) -> "_JsonlAppender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class CellTelemetry:
     """Worker-side status writer for one grid cell.
 
@@ -197,7 +160,7 @@ class CellTelemetry:
         self.label = label
         self.workload = workload
         self.span_id = cell_span_id(spec.grid_span, index)
-        self._writer = _JsonlAppender(cell_status_path(spec.run_dir, index))
+        self._writer = JsonlAppender(cell_status_path(spec.run_dir, index))
         self._phase: Optional[str] = None
         self._last_beat_time = 0.0
         self._last_beat_accesses = 0
@@ -209,7 +172,7 @@ class CellTelemetry:
             "t": round(time.time(), 6),
         }
         record.update(fields)
-        self._writer.append(record)
+        self._writer.write(record)
 
     def cell_start(
         self,
@@ -320,12 +283,12 @@ class GridTelemetry:
             grid_span=self.grid_span,
             heartbeat_seconds=heartbeat_seconds,
         )
-        self._writer = _JsonlAppender(self.run_dir / "grid.jsonl")
+        self._writer = JsonlAppender(self.run_dir / "grid.jsonl")
 
     def _emit(self, kind: str, **fields: Any) -> None:
         record = {"kind": kind, "t": round(time.time(), 6)}
         record.update(fields)
-        self._writer.append(record)
+        self._writer.write(record)
 
     def grid_start(self, total_cells: int) -> None:
         """Open the grid span."""
@@ -383,28 +346,14 @@ def read_status_lines(
 ) -> Tuple[List[Dict[str, Any]], bool]:
     """Parse one append-only status file, tolerating a torn tail.
 
-    Returns ``(records, truncated)``.  A malformed **final** line is
-    the signature of a process killed mid-write and is silently
-    dropped (``truncated=True``); a malformed line anywhere else is
-    skipped too — the aggregator must never crash on a live, half
-    written channel.
+    Returns ``(records, truncated)``.  A torn final line is the
+    signature of a process killed mid-write; it and a damaged line
+    anywhere else are skipped and reported as ``truncated=True`` — the
+    aggregator must never crash on a live, half written channel.
     """
-    records: List[Dict[str, Any]] = []
-    truncated = False
     try:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        read = read_jsonl(path, SKIP)
     except OSError:
-        return records, truncated
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            truncated = True
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records, truncated
+        return [], False
+    records = [record for record in read.records if isinstance(record, dict)]
+    return records, bool(read.skipped)

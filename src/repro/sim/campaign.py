@@ -17,8 +17,8 @@ contract (DESIGN.md §12):
   :class:`~repro.sim.results.RunFailure`) when it lands.  Each record
   is flushed **and fsynced** before the campaign moves on, so a
   ``SIGKILL`` at any instant loses at most one torn trailing line —
-  which replay tolerates, exactly like
-  :func:`~repro.obs.sinks.load_events` with ``strict=False``.
+  which replay tolerates and the next append trims, per the torn-tail
+  contract of :mod:`repro.common.jsonl`.
 * ``run_campaign`` *resumes by default*: it replays the journal, serves
   completed cells from the run cache (verifying the journaled digest),
   keeps journaled failures quarantined without re-running them, and
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -48,7 +47,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    TextIO,
     Tuple,
     Union,
 )
@@ -61,6 +59,7 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.io import atomic_write_text
+from repro.common.jsonl import TAIL, JsonlAppender, JsonlCorruption, read_jsonl
 from repro.obs.htmlreport import render_campaign_html
 from repro.obs.profile import RunProfiler
 from repro.resilience.faults import FaultPlan
@@ -588,7 +587,7 @@ def result_digest(result: RunResult) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class CampaignJournal:
+class CampaignJournal(JsonlAppender):
     """Append-only ``campaign.jsonl`` writer with per-record durability.
 
     Every record is one JSON line, flushed *and fsynced* before
@@ -598,45 +597,16 @@ class CampaignJournal:
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[TextIO] = None
+        super().__init__(path, fsync=True)
 
     def append(self, kind: str, **fields: Any) -> None:
-        record: Dict[str, Any] = {"kind": kind}
-        record.update(fields)
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        self.write({"kind": kind, **fields})
 
 
-def _trim_torn_tail(path: Path) -> None:
-    """Drop a torn final line so the next append starts a clean record.
-
-    Safe by construction: the torn record was never fsynced to
-    completion, so nothing ever acknowledged it — and without the trim,
-    appending would concatenate the next record onto the torn bytes and
-    turn tolerable tail damage into mid-file corruption.
-    """
-    data = path.read_bytes()
-    keep = data.rfind(b"\n") + 1
-    with path.open("r+b") as handle:
-        handle.truncate(keep)
-        handle.flush()
-        os.fsync(handle.fileno())
+def _journal_record(record: Any) -> Dict[str, Any]:
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    return record
 
 
 def load_journal(
@@ -644,8 +614,8 @@ def load_journal(
 ) -> Tuple[List[Dict[str, Any]], bool]:
     """Read journal records, tolerating a torn final line.
 
-    Returns ``(records, truncated)``; ``truncated`` is True when the
-    last line was not valid JSON — the signature of a crash mid-append,
+    Returns ``(records, truncated)``; ``truncated`` is True when bytes
+    follow the last newline — the signature of a crash mid-append,
     which per-record fsync guarantees is the *only* possible damage.  A
     malformed line anywhere else is real corruption and raises
     :class:`~repro.common.errors.CampaignError`.  A missing journal
@@ -653,31 +623,19 @@ def load_journal(
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        read = read_jsonl(path, TAIL, convert=_journal_record)
     except FileNotFoundError:
         return [], False
     except OSError as exc:
         raise CampaignError(
             f"cannot read campaign journal {path}: {exc}"
         ) from exc
-    records: List[Dict[str, Any]] = []
-    lines = text.splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-        except ValueError as exc:
-            if number == len(lines):
-                return records, True
-            raise CampaignError(
-                f"campaign journal {path} line {number} is corrupt "
-                f"(not torn-tail damage): {exc}"
-            ) from exc
-        records.append(record)
-    return records, False
+    except JsonlCorruption as exc:
+        raise CampaignError(
+            f"campaign journal {path} line {exc.line} is corrupt "
+            f"(not torn-tail damage): {exc.reason}"
+        ) from exc
+    return read.records, read.torn
 
 
 @dataclass
@@ -953,8 +911,6 @@ def run_campaign(
         journal_path.unlink()
     cells = build_cells(spec)
     state = replay_journal(journal_path)
-    if state.truncated:
-        _trim_torn_tail(journal_path)
     digest = spec.digest()
     if state.spec_digest is not None and state.spec_digest != digest:
         raise CampaignError(

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
@@ -269,6 +271,31 @@ def _check_workers(max_workers: Optional[int]) -> None:
         raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit within a second of the parent's death.
+
+    A SIGKILLed parent never shuts its pool down, and its workers would
+    block on the executor's call queue forever.  The parent pid is read
+    here, inside the worker, because under the ``forkserver`` start
+    method the worker's parent is the server, not the caller.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _process_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The one way this module builds a pool: workers die with it."""
+    return ProcessPoolExecutor(
+        max_workers=max_workers, initializer=_exit_with_parent
+    )
+
+
 def ordered_map(
     function: Callable[[Any], Any],
     items: Sequence[Any],
@@ -287,9 +314,7 @@ def ordered_map(
     _check_workers(max_workers)
     if max_workers is None or max_workers == 1 or len(items) <= 1:
         return [function(item) for item in items]
-    with ProcessPoolExecutor(
-        max_workers=min(max_workers, len(items))
-    ) as pool:
+    with _process_pool(min(max_workers, len(items))) as pool:
         return list(pool.map(function, items))
 
 
@@ -415,7 +440,7 @@ class ParallelRunner:
                 results[position] = self._store(spec, key, outcome)
                 note_finished(spec, outcome, key)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _process_pool(workers) as pool:
                 futures = {}
                 for position, spec, key in pending:
                     if observer is not None:

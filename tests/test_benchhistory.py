@@ -57,6 +57,19 @@ class TestLedger:
         history = load_history(path)
         assert len(history) == 1
 
+    def test_append_after_torn_line_keeps_the_new_entry(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        first = entry({"lru": 100.0})
+        second = entry({"lru": 110.0}, recorded_at="2026-08-09T00:00:00+00:00")
+        third = entry({"lru": 120.0}, recorded_at="2026-08-10T00:00:00+00:00")
+        append_history(path, first)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"recorded_at": "2026-')
+        append_history(path, second)
+        assert load_history(path) == [first, second]
+        append_history(path, third)
+        assert load_history(path) == [first, second, third]
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text(

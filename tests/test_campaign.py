@@ -22,6 +22,7 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.io import atomic_write, atomic_write_text
+from repro.obs.index import ArtifactIndex
 from repro.obs.profile import RunProfiler
 from repro.sim.cache import RunCache
 from repro.sim.campaign import (
@@ -372,6 +373,23 @@ class TestRunCampaign:
         # The repaired journal replays cleanly end to end.
         records, truncated = load_journal(journal_path)
         assert not truncated
+
+    def test_journal_missing_final_newline_keeps_resuming(self, tmp_path):
+        # A final record that lost only its newline is a torn tail: it
+        # must be trimmed, not glued onto the next resume's first record.
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory)
+        before = output_bytes(directory)
+        journal_path = directory / "campaign.jsonl"
+        journal_path.write_bytes(journal_path.read_bytes()[:-1])
+        for _ in range(2):
+            outcome = run_campaign(spec_path, directory=directory)
+            assert outcome.executed == 0
+            assert output_bytes(directory) == before
+        assert "4 done" in campaign_status(directory)
+        with ArtifactIndex(":memory:") as index:
+            assert index.ingest(directory).skipped == []
 
     def test_two_directories_byte_identical(self, tmp_path):
         spec_path = write_spec(tmp_path, SMALL)

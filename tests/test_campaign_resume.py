@@ -197,6 +197,31 @@ class TestParentKill:
         } == reference
 
 
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="group membership is read from /proc",
+)
+class TestOrphanedWorkers:
+    def test_pool_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        spec_path = write_spec(tmp_path)
+        directory = tmp_path / "orphaned"
+        process = launch(spec_path, directory)
+        try:
+            assert wait_for_done_cells(
+                process, directory / "campaign.jsonl", 2
+            ), "the campaign finished before it could be interrupted"
+            process.kill()  # the parent only: its workers are orphaned
+            process.wait(timeout=60)
+            start = time.monotonic()
+            while group_alive(process.pid):
+                assert time.monotonic() - start < 10.0, (
+                    "pool workers outlived their killed parent"
+                )
+                time.sleep(0.05)
+        finally:
+            reap(process)
+
+
 def pool_worker_pids(parent_pid):
     """Direct children of ``parent_pid`` via /proc (Linux only)."""
     pids = []
