@@ -15,7 +15,7 @@ from time import perf_counter
 from typing import Any, Callable, List, Optional, Union
 
 from repro.common.errors import ConfigError
-from repro.sim.config import MachineConfig
+from repro.sim.options import RunOptions
 from repro.sim.results import RunFailure
 from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.trace import Trace
@@ -59,19 +59,14 @@ def guarded_run(
     *,
     scheme: str,
     base_seed: int,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
-    warmup_fraction: float = 0.25,
-    machine: Optional[MachineConfig] = None,
-    metrics_window: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     telemetry=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
 ) -> Union[RunResult, RunFailure]:
     """Run one (scheme, trace) cell with isolation.
 
-    ``make_cache`` builds a fresh cache from a seed; it is called once
-    per attempt so every retry starts from pristine state.  Returns the
+    ``make_cache`` builds a fresh cache from a seed, under
+    ``options.fault_plan`` if set; it is called once per attempt so
+    every retry starts from pristine state.  Returns the
     :class:`RunResult` of the first successful attempt, or a
     :class:`RunFailure` describing the *last* error once the retry
     budget is exhausted.  ``KeyboardInterrupt``/``SystemExit`` are never
@@ -84,19 +79,19 @@ def guarded_run(
     so a parent aggregator can tell a slow cell from a stalled worker
     before the watchdog deadline converts it into a RunFailure.
 
-    ``backend`` is forwarded to :func:`run_trace` on the first attempt
-    only; retries force the scalar oracle so a hypothetical columnar
+    ``options.backend`` is used on the first attempt only; retries
+    force the scalar oracle so a hypothetical columnar
     defect can never burn the whole retry budget on the same kernel.
     (The exactness contract makes the paths interchangeable, so the
     downgrade is invisible in results.)
 
-    ``ledger=True`` threads the capacity-flow ledger through each
+    ``options.ledger`` threads the capacity-flow ledger through each
     attempt (every retry gets a fresh sink with its fresh cache).  A
     conservation violation at seal is an exception like any other: it
     is retried under the policy and, if persistent, surfaces as a
     structured :class:`RunFailure` naming ``InvariantViolation``.
     """
-    retry = retry if retry is not None else DEFAULT_RETRY
+    retry = options.retry if options.retry is not None else DEFAULT_RETRY
     seeds = retry.seeds(base_seed)
     started = perf_counter()
     last_error: Optional[BaseException] = None
@@ -104,28 +99,20 @@ def guarded_run(
         telemetry.cell_start(
             total_accesses=len(trace),
             seed=base_seed,
-            watchdog_seconds=watchdog_seconds,
+            watchdog_seconds=options.watchdog_seconds,
             max_attempts=retry.max_attempts,
         )
+    run_kwargs = options.run_trace_kwargs()
     for attempt, seed in enumerate(seeds, start=1):
         try:
             cache = make_cache(seed)
-            result = run_trace(
-                cache,
-                trace,
-                warmup_fraction=warmup_fraction,
-                machine=machine,
-                deadline_seconds=watchdog_seconds,
-                metrics_window=metrics_window,
-                telemetry=telemetry,
-                backend=backend if attempt == 1 else "python",
-                ledger=ledger,
-            )
+            result = run_trace(cache, trace, telemetry=telemetry, **run_kwargs)
             if telemetry is not None:
                 telemetry.cell_end("ok")
             return result
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             last_error = exc
+            run_kwargs["backend"] = "python"
             if telemetry is not None:
                 telemetry.attempt_failed(attempt, seed, str(exc))
     # max_attempts >= 1 guarantees at least one loop pass set last_error.

@@ -23,6 +23,7 @@ from repro.sim.parallel import (
     ParallelRunner,
     cell_cache_key,
 )
+from repro.sim.options import RunOptions
 from repro.sim.replication import (
     ReplicationSummary,
     compare_with_confidence,
@@ -51,6 +52,7 @@ __all__ = [
     "ResultMatrix",
     "RunCache",
     "RunFailure",
+    "RunOptions",
     "RunResult",
     "Timeline",
     "associativity_sweep",

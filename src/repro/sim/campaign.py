@@ -65,8 +65,8 @@ from repro.obs.profile import RunProfiler
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import RetryPolicy
 from repro.sim.cache import RunCache, result_to_dict
-from repro.sim.columnar import BACKENDS
 from repro.sim.config import canonical_scheme_name
+from repro.sim.options import RunOptions
 from repro.sim.parallel import (
     CellObserver,
     CellOutcome,
@@ -153,7 +153,8 @@ class CampaignSpec:
     scheme names lowered to factory keys, geometries constructed — so
     :func:`build_cells` is a pure deterministic expansion and
     :meth:`digest` identifies the grid regardless of how the spec file
-    spelled it.
+    spelled it.  ``options`` carry no fault plan: each cell takes its
+    own from ``fault_plans``.
     """
 
     name: str
@@ -164,12 +165,7 @@ class CampaignSpec:
     seeds: Tuple[int, ...]
     fault_plans: Tuple[Optional[str], ...]
     trace_length: int
-    warmup_fraction: float
-    metrics_window: Optional[int]
-    retry: Optional[RetryPolicy]
-    watchdog_seconds: Optional[float]
-    backend: Optional[str] = None
-    ledger: bool = False
+    options: RunOptions
 
     def total_cells(self) -> int:
         return (
@@ -183,6 +179,7 @@ class CampaignSpec:
         The source path is deliberately excluded so a moved or
         re-indented spec file still resumes its journal.
         """
+        options = self.options
         payload = {
             "name": self.name,
             "schemes": list(self.schemes),
@@ -191,20 +188,20 @@ class CampaignSpec:
             "seeds": list(self.seeds),
             "fault_plans": list(self.fault_plans),
             "trace_length": self.trace_length,
-            "warmup_fraction": self.warmup_fraction,
-            "metrics_window": self.metrics_window,
+            "warmup_fraction": options.warmup_fraction,
+            "metrics_window": options.metrics_window,
             "retry": (
-                [self.retry.max_attempts, self.retry.reseed_step]
-                if self.retry is not None else None
+                [options.retry.max_attempts, options.retry.reseed_step]
+                if options.retry is not None else None
             ),
-            "watchdog_seconds": self.watchdog_seconds,
+            "watchdog_seconds": options.watchdog_seconds,
         }
-        if self.backend is not None:
+        if options.backend is not None:
             # Only specs that name a backend carry the key, so every
             # pre-existing journal digest keeps resuming.  (The backend
             # cannot change results — the digest guards *intent*.)
-            payload["backend"] = self.backend
-        if self.ledger:
+            payload["backend"] = options.backend
+        if options.ledger:
             # Same only-when-set idiom; a ledgered campaign produces
             # different cell payloads, so it must not resume a
             # ledger-less journal (or vice versa).
@@ -344,26 +341,6 @@ def _parse_fault_plans(
     return tuple(plans)
 
 
-def _parse_backend(
-    source: str, document: Dict[str, Any]
-) -> Optional[str]:
-    raw = document.get("backend")
-    if raw is None:
-        return None
-    if not isinstance(raw, str) or raw not in BACKENDS:
-        raise _fail(source, "backend",
-                    f"expected one of {', '.join(BACKENDS)}, got {raw!r}")
-    return raw
-
-
-def _parse_ledger(source: str, document: Dict[str, Any]) -> bool:
-    raw = document.get("ledger", False)
-    if not isinstance(raw, bool):
-        raise _fail(source, "ledger",
-                    f"expected true or false, got {raw!r}")
-    return raw
-
-
 def _parse_retry(
     source: str, document: Dict[str, Any]
 ) -> Optional[RetryPolicy]:
@@ -422,7 +399,8 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
     :class:`~repro.common.errors.CampaignSpecError` naming the file,
     the key path (``schemes[1]``, ``geometries[0].sets``, ...) and the
     offending value — the whole grid is vetted before a single
-    simulation cycle is spent.
+    simulation cycle is spent.  This parser checks the run options'
+    types; :class:`RunOptions` checks their ranges.
     """
     path = Path(path)
     source = str(path)
@@ -446,22 +424,25 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
     warmup_fraction = _expect_number(
         source, "warmup_fraction", document.get("warmup_fraction", 0.25)
     )
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise _fail(source, "warmup_fraction",
-                    f"must lie in [0, 1), got {warmup_fraction!r}")
     metrics_window = document.get("metrics_window")
     if metrics_window is not None:
-        metrics_window = _expect_int(
-            source, "metrics_window", metrics_window, minimum=1
-        )
-    watchdog_seconds: Optional[float] = None
-    if document.get("watchdog_seconds") is not None:
+        metrics_window = _expect_int(source, "metrics_window", metrics_window)
+    watchdog_seconds = document.get("watchdog_seconds")
+    if watchdog_seconds is not None:
         watchdog_seconds = _expect_number(
-            source, "watchdog_seconds", document["watchdog_seconds"]
+            source, "watchdog_seconds", watchdog_seconds
         )
-        if watchdog_seconds <= 0.0:
-            raise _fail(source, "watchdog_seconds",
-                        f"must be positive, got {watchdog_seconds!r}")
+    try:
+        options = RunOptions(
+            warmup_fraction=warmup_fraction,
+            metrics_window=metrics_window,
+            ledger=document.get("ledger", False),
+            backend=document.get("backend"),
+            retry=_parse_retry(source, document),
+            watchdog_seconds=watchdog_seconds,
+        )
+    except ConfigError as exc:
+        raise CampaignSpecError(f"{source}: {exc}") from exc
     return CampaignSpec(
         name=name,
         source=source,
@@ -471,12 +452,7 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
         seeds=_parse_seeds(source, document),
         fault_plans=_parse_fault_plans(source, document),
         trace_length=trace_length,
-        warmup_fraction=warmup_fraction,
-        metrics_window=metrics_window,
-        retry=_parse_retry(source, document),
-        watchdog_seconds=watchdog_seconds,
-        backend=_parse_backend(source, document),
-        ledger=_parse_ledger(source, document),
+        options=options,
     )
 
 
@@ -515,13 +491,7 @@ class CampaignCell:
             trace=trace,
             geometry=self.geometry.geometry(),
             seed=self.seed,
-            warmup_fraction=spec.warmup_fraction,
-            retry=spec.retry,
-            watchdog_seconds=spec.watchdog_seconds,
-            metrics_window=spec.metrics_window,
-            fault_plan=self.fault_plan,
-            backend=spec.backend,
-            ledger=spec.ledger,
+            options=replace(spec.options, fault_plan=self.fault_plan),
         )
 
 
@@ -1022,7 +992,7 @@ def run_campaign(
         "mpki": matrix.metric_table(lambda result: result.mpki),
         "normalized_mpki": normalized,
     }
-    if spec.ledger:
+    if spec.options.ledger:
         # Per-cell capacity-flow roll-ups; the key appears only for
         # ledgered campaigns, so every existing summary.json (and the
         # resume smoke's byte comparison) keeps its exact bytes.

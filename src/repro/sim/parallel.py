@@ -39,7 +39,7 @@ import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -54,8 +54,9 @@ from repro.obs.telemetry import (
     TelemetrySpec,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
-from repro.resilience.harness import RetryPolicy, guarded_run
-from repro.sim.config import MachineConfig, make_scheme
+from repro.resilience.harness import guarded_run
+from repro.sim.config import make_scheme
+from repro.sim.options import RunOptions
 from repro.sim.results import RunFailure
 from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.trace import Trace
@@ -73,27 +74,8 @@ class CellSpec:
     failure records (the runner passes e.g. ``"dip@8"`` for sweep
     cells).  ``isolate`` selects between crash-tolerant
     :func:`guarded_run` execution and fail-fast propagation, exactly
-    mirroring the serial runner's contract.
-
-    ``fault_plan`` (compact :class:`~repro.resilience.faults.FaultPlan`
-    text, e.g. ``"sc_s:2,trace:4"``) wraps the built scheme in an
-    :class:`~repro.resilience.faults.InjectingCache` seeded with the
-    cell seed, so campaign grids can cross fault plans with every other
-    axis; ``None`` (the default) costs nothing.
-
-    ``backend`` picks the execution path (``"auto"``/``"python"``/
-    ``"numpy"``, see :mod:`repro.sim.columnar`).  It is deliberately
-    *not* part of :func:`cell_cache_key`: the exactness contract makes
-    backends interchangeable, so a cached scalar result satisfies a
-    numpy request and vice versa.
-
-    ``ledger=True`` attaches the capacity-flow
-    :class:`~repro.obs.ledger.LedgerSink` inside the run, so the cell's
-    :class:`RunResult` carries a sealed
-    :class:`~repro.obs.ledger.RunLedger`.  Unlike ``backend`` it *is*
-    part of the cache key (a ledgered result is a strict superset of a
-    ledger-less one), using the same only-when-set idiom as
-    ``fault_plan`` so every pre-existing key stays valid.
+    mirroring the serial runner's contract.  ``options`` are the
+    :class:`~repro.sim.options.RunOptions` the cell runs under.
     """
 
     index: int
@@ -102,15 +84,8 @@ class CellSpec:
     trace: Trace
     geometry: CacheGeometry
     seed: int
-    warmup_fraction: float = 0.25
-    machine: Optional[MachineConfig] = None
     isolate: bool = True
-    retry: Optional[RetryPolicy] = None
-    watchdog_seconds: Optional[float] = None
-    metrics_window: Optional[int] = None
-    fault_plan: Optional[str] = None
-    backend: Optional[str] = None
-    ledger: bool = False
+    options: RunOptions = RunOptions()
 
 
 def _build_cell_cache(spec: CellSpec, seed: int):
@@ -122,8 +97,8 @@ def _build_cell_cache(spec: CellSpec, seed: int):
     whole cell's identity.
     """
     cache = make_scheme(spec.scheme, spec.geometry, seed=seed)
-    if spec.fault_plan is not None:
-        plan = FaultPlan.parse(spec.fault_plan)
+    if spec.options.fault_plan is not None:
+        plan = FaultPlan.parse(spec.options.fault_plan)
         injector = FaultInjector(plan, len(spec.trace), seed=seed)
         cache = InjectingCache(cache, injector)
     return cache
@@ -154,19 +129,13 @@ def _execute_cell(
                 telemetry.cell_start(
                     total_accesses=len(spec.trace),
                     seed=spec.seed,
-                    watchdog_seconds=spec.watchdog_seconds,
+                    watchdog_seconds=spec.options.watchdog_seconds,
                 )
             try:
                 cache = _build_cell_cache(spec, spec.seed)
                 result = run_trace(
-                    cache,
-                    spec.trace,
-                    warmup_fraction=spec.warmup_fraction,
-                    machine=spec.machine,
-                    metrics_window=spec.metrics_window,
-                    telemetry=telemetry,
-                    backend=spec.backend,
-                    ledger=spec.ledger,
+                    cache, spec.trace, telemetry=telemetry,
+                    **spec.options.run_trace_kwargs(),
                 )
             except BaseException as exc:
                 if telemetry is not None:
@@ -182,14 +151,8 @@ def _execute_cell(
             spec.trace,
             scheme=spec.label,
             base_seed=spec.seed,
-            retry=spec.retry,
-            watchdog_seconds=spec.watchdog_seconds,
-            warmup_fraction=spec.warmup_fraction,
-            machine=spec.machine,
-            metrics_window=spec.metrics_window,
+            options=spec.options,
             telemetry=telemetry,
-            backend=spec.backend,
-            ledger=spec.ledger,
         )
     finally:
         if telemetry is not None:
@@ -203,34 +166,22 @@ def cell_cache_key(spec: CellSpec) -> Optional[str]:
     reuses the run manifest's deterministic ``hashed_payload`` — scheme
     class + geometry + config + trace metadata + seed + package version
     — then extends it with what the manifest hash deliberately leaves
-    out but a cached *result* depends on: the raw trace content digest,
-    the warm-up split, and the timing-model parameters.  A cell whose
-    scheme cannot even be built (a poisoned factory) has no key; the
-    executor then takes the normal (guarded) path.
+    out but a cached *result* depends on: the raw trace content digest
+    and the run options that
+    :meth:`~repro.sim.options.RunOptions.cache_key_fields` names.  A
+    cell whose scheme cannot even be built (a poisoned factory) has no
+    key; the executor then takes the normal (guarded) path.
     """
     try:
         cache = make_scheme(spec.scheme, spec.geometry, seed=spec.seed)
         manifest = build_manifest(cache, spec.trace)
     except Exception:  # noqa: BLE001 — uncacheable, not fatal
         return None
-    machine = spec.machine if spec.machine is not None else MachineConfig()
     payload: Dict[str, Any] = {
         "cell": manifest.hashed_payload(),
         "trace_digest": spec.trace.content_digest(),
-        "warmup_fraction": spec.warmup_fraction,
-        "machine": asdict(machine),
-        # Windowed runs carry a series the unwindowed result lacks, so
-        # the window length is part of the cell's identity.
-        "metrics_window": spec.metrics_window,
+        **spec.options.cache_key_fields(),
     }
-    if spec.fault_plan is not None:
-        # Only faulted cells carry the field, so every pre-existing
-        # key (and cached entry) stays valid.
-        payload["fault_plan"] = spec.fault_plan
-    if spec.ledger:
-        # Ledgered results carry a payload ledger-less ones lack, so
-        # they must not satisfy (or be satisfied by) plain lookups.
-        payload["ledger"] = True
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -371,7 +322,7 @@ class ParallelRunner:
                     label=spec.label,
                     workload=spec.trace.name,
                     total_accesses=len(spec.trace),
-                    watchdog_seconds=spec.watchdog_seconds,
+                    watchdog_seconds=spec.options.watchdog_seconds,
                 )
             try:
                 return self._run(specs, grid)

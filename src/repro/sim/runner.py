@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import RunProfiler
-from repro.resilience.harness import RetryPolicy
 from repro.sim.config import ExperimentScale
+from repro.sim.options import RunOptions
 from repro.sim.parallel import CellSpec, ParallelRunner, ordered_map
 from repro.sim.results import ResultMatrix, RunFailure
 from repro.sim.simulator import RunResult
@@ -45,14 +45,10 @@ def run_matrix(
     seed: int = 0xACE1,
     profiler: Optional[RunProfiler] = None,
     isolate: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
-    metrics_window: Optional[int] = None,
     telemetry_dir=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
+    **options,
 ) -> ResultMatrix:
     """Run every scheme on every trace at one geometry.
 
@@ -68,9 +64,11 @@ def run_matrix(
     heartbeats, ``status.json`` — without changing any outcome (see
     :class:`~repro.sim.parallel.ParallelRunner`).
 
-    ``backend`` selects the per-cell execution path (``"auto"`` /
-    ``"python"`` / ``"numpy"``); the columnar path's exactness contract
-    means it, too, never changes any outcome (DESIGN.md §13).
+    ``options`` are :class:`~repro.sim.options.RunOptions` fields but
+    warm-up and timing model, which come from ``scale``.  ``backend``
+    selects the per-cell execution path (``"auto"`` / ``"python"`` /
+    ``"numpy"``); the columnar path's exactness contract means it, too,
+    never changes any outcome (DESIGN.md §13).
 
     ``ledger=True`` attaches the capacity-flow ledger to every cell, so
     each :class:`RunResult` carries a sealed
@@ -80,6 +78,8 @@ def run_matrix(
     parallel grids produce byte-identical ledgers.
     """
     scale = scale if scale is not None else ExperimentScale.default()
+    cell_options = RunOptions(warmup_fraction=scale.warmup_fraction,
+                              machine=scale.machine, **options)
     geometry = scale.geometry()
     specs = []
     for trace in traces:
@@ -91,14 +91,8 @@ def run_matrix(
                 trace=trace,
                 geometry=geometry,
                 seed=seed,
-                warmup_fraction=scale.warmup_fraction,
-                machine=scale.machine,
                 isolate=isolate,
-                retry=retry,
-                watchdog_seconds=watchdog_seconds,
-                metrics_window=metrics_window,
-                backend=backend,
-                ledger=ledger,
+                options=cell_options,
             ))
     runner = ParallelRunner(
         max_workers=max_workers, run_cache=run_cache, profiler=profiler,
@@ -126,14 +120,10 @@ def run_benchmarks(
     seed: int = 0xACE1,
     profiler: Optional[RunProfiler] = None,
     isolate: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
-    metrics_window: Optional[int] = None,
     telemetry_dir=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
+    **options,
 ) -> ResultMatrix:
     """Run the (selected) SPEC-like benchmarks through every scheme.
 
@@ -148,12 +138,9 @@ def run_benchmarks(
         max_workers=max_workers,
     )
     return run_matrix(traces, schemes, scale=scale, seed=seed,
-                      profiler=profiler, isolate=isolate, retry=retry,
-                      watchdog_seconds=watchdog_seconds,
+                      profiler=profiler, isolate=isolate,
                       max_workers=max_workers, run_cache=run_cache,
-                      metrics_window=metrics_window,
-                      telemetry_dir=telemetry_dir, backend=backend,
-                      ledger=ledger)
+                      telemetry_dir=telemetry_dir, **options)
 
 
 def associativity_sweep(
@@ -164,14 +151,10 @@ def associativity_sweep(
     seed: int = 0xACE1,
     profiler: Optional[RunProfiler] = None,
     failures: Optional[List[RunFailure]] = None,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
-    metrics_window: Optional[int] = None,
     telemetry_dir=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
+    **options,
 ) -> Dict[str, List[RunResult]]:
     """MPKI-vs-associativity curves (Figures 3 and 10).
 
@@ -185,6 +168,8 @@ def associativity_sweep(
     stay index-aligned with ``associativities``, so errors propagate.
     """
     scale = scale if scale is not None else ExperimentScale.default()
+    cell_options = RunOptions(warmup_fraction=scale.warmup_fraction,
+                              machine=scale.machine, **options)
     isolate = failures is not None
     specs = []
     spec_scheme: List[str] = []
@@ -198,14 +183,8 @@ def associativity_sweep(
                 trace=trace,
                 geometry=geometry,
                 seed=seed,
-                warmup_fraction=scale.warmup_fraction,
-                machine=scale.machine,
                 isolate=isolate,
-                retry=retry,
-                watchdog_seconds=watchdog_seconds,
-                metrics_window=metrics_window,
-                backend=backend,
-                ledger=ledger,
+                options=cell_options,
             ))
             spec_scheme.append(scheme_name)
     runner = ParallelRunner(

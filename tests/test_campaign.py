@@ -90,7 +90,7 @@ class TestSpecValidation:
         assert spec.geometries[0].assoc == 16
         assert spec.seeds == (0xACE1,)
         assert spec.fault_plans == (None,)
-        assert spec.retry is None
+        assert spec.options.retry is None
 
     def test_error_names_file_and_keypath_for_unknown_scheme(self, tmp_path):
         path = write_spec(tmp_path, dict(SMALL, schemes=["lru", "clock"]))
@@ -247,7 +247,7 @@ class TestBuildCells:
         cells = build_cells(spec)
         trace = make_benchmark_trace("mcf", num_sets=64, length=1_000)
         assert all(
-            cell.cell_spec(spec, trace).fault_plan == "sc_s:2"
+            cell.cell_spec(spec, trace).options.fault_plan == "sc_s:2"
             for cell in cells
         )
         assert all(

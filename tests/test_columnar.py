@@ -29,6 +29,7 @@ from repro.obs import RingBufferSink, Tracer
 from repro.resilience.harness import RetryPolicy, guarded_run
 from repro.sim import columnar
 from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.options import RunOptions
 from repro.sim.parallel import CellSpec, cell_cache_key
 from repro.sim.runner import run_matrix
 from repro.sim.simulator import run_trace
@@ -318,7 +319,7 @@ class TestOrchestrationThreading:
             trace,
             scheme="lru",
             base_seed=7,
-            backend="numpy",
+            options=RunOptions(backend="numpy"),
         )
         assert outcome.backend == "numpy"
 
@@ -339,8 +340,9 @@ class TestOrchestrationThreading:
             trace,
             scheme="lru",
             base_seed=7,
-            retry=RetryPolicy(max_attempts=2),
-            backend="numpy",
+            options=RunOptions(
+                retry=RetryPolicy(max_attempts=2), backend="numpy"
+            ),
         )
         assert len(attempts) == 2
         assert outcome.backend == "python"
@@ -380,11 +382,11 @@ class TestOrchestrationThreading:
             return path
 
         plain = load_campaign_spec(write(base, "plain.json"))
-        assert plain.backend is None
+        assert plain.options.backend is None
         explicit = load_campaign_spec(
             write({**base, "backend": "numpy"}, "plain.json")
         )
-        assert explicit.backend == "numpy"
+        assert explicit.options.backend == "numpy"
         # Specs predating the backend key keep their journal digests:
         # only an explicit backend changes the digest payload.
         assert explicit.digest() != plain.digest()
@@ -398,7 +400,8 @@ class TestOrchestrationThreading:
         specs = [
             CellSpec(
                 index=0, scheme="lru", label="lru", trace=trace,
-                geometry=GEOMETRY, seed=7, backend=backend,
+                geometry=GEOMETRY, seed=7,
+                options=RunOptions(backend=backend),
             )
             for backend in (None, "python", "numpy")
         ]

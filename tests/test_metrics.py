@@ -322,6 +322,7 @@ class TestPersistence:
     def test_cache_key_sensitive_to_metrics_window(self):
         from dataclasses import replace
 
+        from repro.sim.options import RunOptions
         from repro.sim.parallel import CellSpec, cell_cache_key
 
         trace = small_trace("vpr", 3_000)
@@ -332,7 +333,7 @@ class TestPersistence:
         key = cell_cache_key(base)
         assert key is not None
         assert cell_cache_key(
-            replace(base, metrics_window=2_000)
+            replace(base, options=RunOptions(metrics_window=2_000))
         ) != key
 
     def test_cached_grid_preserves_series(self, tmp_path):

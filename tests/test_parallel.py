@@ -8,6 +8,7 @@ from repro.obs import RingBufferSink, Tracer
 from repro.obs.ledger import LedgerSink
 from repro.sim.cache import RunCache, result_from_dict, result_to_dict
 from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.options import RunOptions
 from repro.sim.parallel import (
     CellSpec,
     ParallelRunner,
@@ -308,7 +309,9 @@ class TestRunCache:
         assert key is not None
         from dataclasses import replace
         assert cell_cache_key(replace(base, seed=2)) != key
-        assert cell_cache_key(replace(base, warmup_fraction=0.5)) != key
+        assert cell_cache_key(
+            replace(base, options=RunOptions(warmup_fraction=0.5))
+        ) != key
         assert cell_cache_key(
             replace(base, trace=small_trace("mcf", 3_000))
         ) != key

@@ -27,6 +27,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.harness import RetryPolicy, guarded_run
 from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.options import RunOptions
 from repro.sim.results import ResultMatrix, RunFailure
 from repro.sim.runner import associativity_sweep, run_matrix
 from repro.sim.simulator import RunResult, run_trace
@@ -251,7 +252,9 @@ class TestGuardedRun:
 
         result = guarded_run(
             flaky, trace, scheme="LRU", base_seed=100,
-            retry=RetryPolicy(max_attempts=2, reseed_step=7),
+            options=RunOptions(
+                retry=RetryPolicy(max_attempts=2, reseed_step=7)
+            ),
         )
         assert isinstance(result, RunResult)
         assert seeds_seen == [100, 107]
@@ -263,7 +266,7 @@ class TestGuardedRun:
             trace,
             scheme="BOOM",
             base_seed=100,
-            retry=RetryPolicy(max_attempts=3),
+            options=RunOptions(retry=RetryPolicy(max_attempts=3)),
         )
         assert isinstance(failure, RunFailure)
         assert failure.error_type == "SimulationError"
@@ -284,7 +287,7 @@ class TestGuardedRun:
             trace,
             scheme="LRU",
             base_seed=1,
-            watchdog_seconds=1e-9,
+            options=RunOptions(watchdog_seconds=1e-9),
         )
         assert isinstance(failure, RunFailure)
         assert failure.error_type == "WatchdogTimeout"
@@ -317,6 +320,18 @@ class TestGridIsolation:
             run_matrix(
                 [small_trace(length=2_000)], ["boom"],
                 scale=SCALE, isolate=False,
+            )
+        # A fail-fast cell keeps its watchdog, and a sweep without a
+        # failures list runs its cells fail-fast.
+        with pytest.raises(WatchdogTimeout, match="deadline"):
+            run_matrix(
+                [small_trace(length=20_000)], ["lru"],
+                scale=SCALE, isolate=False, watchdog_seconds=1e-9,
+            )
+        with pytest.raises(WatchdogTimeout, match="deadline"):
+            associativity_sweep(
+                small_trace(length=20_000), ["lru"], [4, 8],
+                scale=SCALE, watchdog_seconds=1e-9,
             )
 
     def test_sweep_skips_failed_runs(self, monkeypatch):

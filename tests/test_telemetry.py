@@ -36,6 +36,7 @@ from repro.obs.telemetry import (
 from repro.resilience.harness import RetryPolicy, guarded_run
 from repro.sim.cache import RunCache
 from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.options import RunOptions
 from repro.sim.results import RunFailure
 from repro.sim.runner import run_matrix
 from repro.sim.simulator import RunResult, run_trace
@@ -265,8 +266,8 @@ class TestSimulatorIntegration:
         telemetry = CellTelemetry(eager_spec(tmp_path), 0, "lru", trace.name)
         outcome = guarded_run(
             lambda seed: make_scheme("lru", SCALE.geometry(), seed=seed),
-            trace, scheme="lru", base_seed=11, watchdog_seconds=60.0,
-            telemetry=telemetry,
+            trace, scheme="lru", base_seed=11,
+            options=RunOptions(watchdog_seconds=60.0), telemetry=telemetry,
         )
         telemetry.close()
         assert isinstance(outcome, RunResult)
@@ -287,7 +288,8 @@ class TestSimulatorIntegration:
         telemetry = CellTelemetry(eager_spec(tmp_path), 0, "lru", trace.name)
         outcome = guarded_run(
             poisoned, trace, scheme="lru", base_seed=5,
-            retry=RetryPolicy(max_attempts=3), telemetry=telemetry,
+            options=RunOptions(retry=RetryPolicy(max_attempts=3)),
+            telemetry=telemetry,
         )
         telemetry.close()
         assert isinstance(outcome, RunFailure)
@@ -550,7 +552,8 @@ class TestStallDetection:
         def run():
             outcome["result"] = guarded_run(
                 make_cache, trace, scheme="lru", base_seed=9,
-                watchdog_seconds=watchdog_seconds, telemetry=telemetry,
+                options=RunOptions(watchdog_seconds=watchdog_seconds),
+                telemetry=telemetry,
             )
 
         worker = threading.Thread(target=run, daemon=True)
