@@ -39,8 +39,8 @@ class Lfsr:
     ``next_bits``/``one_in`` become two list lookups instead of ``w``
     shift-register steps.  Tables are built lazily (after
     ``_JUMP_BUILD_THRESHOLD`` uses of a width, or on demand via
-    :meth:`jump_table`) by stepping the *same* recurrence, so the output
-    stream is bit-for-bit identical with and without them.
+    :meth:`jump_table`) from one walk of the *same* recurrence, so the
+    output stream is bit-for-bit identical with and without them.
     """
 
     __slots__ = ("_state",)
@@ -48,6 +48,8 @@ class Lfsr:
     #: width -> (value-of-next-w-bits per state, state after w steps).
     _JUMP_TABLES: Dict[int, Tuple[List[int], List[int]]] = {}
     _JUMP_USE_COUNTS: Dict[int, int] = {}
+    #: The 65,535 non-zero states in stepping order, walked once.
+    _CYCLE: List[int] = []
 
     def __init__(self, seed: int = 0xACE1) -> None:
         seed &= 0xFFFF
@@ -80,22 +82,50 @@ class Lfsr:
         if width <= 0:
             raise ConfigError(f"width must be positive, got {width}")
         table = cls._JUMP_TABLES.get(width)
-        if table is None:
-            values = [0] * 0x10000
+        if table is not None:
+            return table
+        if width <= 16:
+            # Each step shifts its output bit in at the bottom, so after
+            # w <= 16 steps the low w bits of the state are exactly the
+            # w output bits: the value is the later state, masked.
+            cycle = cls._state_cycle()
             states = [0] * 0x10000
-            for start in range(1, 0x10000):
-                state = start
-                value = 0
-                for _ in range(width):
-                    bit = ((state >> 15) ^ (state >> 13)
-                           ^ (state >> 12) ^ (state >> 10)) & 1
-                    state = ((state << 1) | bit) & 0xFFFF
-                    value = (value << 1) | bit
-                values[start] = value
-                states[start] = state
-            table = (values, states)
-            cls._JUMP_TABLES[width] = table
+            for state, after in zip(cycle, cycle[width:] + cycle[:width]):
+                states[state] = after
+            mask = (1 << width) - 1
+            values = [after & mask for after in states]
+        else:
+            # Wider draws are 16 bits, then the remaining width - 16.
+            head_values, head_states = cls.jump_table(16)
+            tail_values, tail_states = cls.jump_table(width - 16)
+            shift = width - 16
+            values = [
+                (head_values[state] << shift)
+                | tail_values[head_states[state]]
+                for state in range(0x10000)
+            ]
+            states = [tail_states[after] for after in head_states]
+        table = (values, states)
+        cls._JUMP_TABLES[width] = table
         return table
+
+    @classmethod
+    def _state_cycle(cls) -> List[int]:
+        """Every non-zero state, in the order the register visits them.
+
+        The register is maximal-length, so one walk from any seed
+        passes all 65,535 non-zero states before it returns.
+        """
+        if not cls._CYCLE:
+            cycle = []
+            state = 1
+            for _ in range(0xFFFF):
+                cycle.append(state)
+                bit = ((state >> 15) ^ (state >> 13)
+                       ^ (state >> 12) ^ (state >> 10)) & 1
+                state = ((state << 1) | bit) & 0xFFFF
+            cls._CYCLE = cycle
+        return cls._CYCLE
 
     def next_bits(self, width: int) -> int:
         """Return ``width`` fresh pseudo-random bits as an integer."""

@@ -120,6 +120,10 @@ class StemCache:
         self.heap = GiverHeap(self.config.heap_capacity)
         self._coupled_role: List[int] = [_UNCOUPLED] * num_sets
         self._cc_count: List[int] = [0] * num_sets
+        # SC_S/SC_T's saturated value and MSB (taker, swap and giver
+        # tests), read against the counters' raw values on the miss path.
+        self._counter_max = (1 << self.config.counter_bits) - 1
+        self._giver_bit = 1 << (self.config.counter_bits - 1)
         # Resilience state: sets pinned to plain LRU after recovery.
         self._in_safe_mode: List[bool] = [False] * num_sets
         # Attribution counters for the capacity-flow ledger, maintained
@@ -170,17 +174,26 @@ class StemCache:
 
         Split out of :meth:`access` so :meth:`access_batch` can inline
         the hot local-hit path and fall into exactly this code on a miss.
+        The common case of the fill is inlined: the demand victim's
+        removal, its write-back and shadow capture, the install, the
+        policy-swap check and the giver posting.  Coupling, spill, spill
+        reject and the cooperative drop stay calls.  Every mutation and
+        LFSR draw keeps the controller's order (the shadow rank is drawn
+        before the fill rank; the victim leaves its set before any
+        coupling, spill or shadow capture), because safe mode heals
+        whatever state an exception leaves behind.
         """
         stats = self.stats
+        roles = self._coupled_role
+        tracer = self.tracer
         probed_coop = False
-        if self._coupled_role[set_index] == _TAKER:
+        if roles[set_index] == _TAKER:
             giver = self.association.partner_of(set_index)
             probed_coop = True
             coop_way = self._lookup[giver].get((tag << 1) | 1)
             if coop_way is not None:
                 stats.hits += 1
                 stats.cooperative_hits += 1
-                tracer = self.tracer
                 if tracer.enabled:
                     # Credit the taker: its access was saved.  The hit
                     # is spatial, never temporal, even under BIP.
@@ -203,22 +216,22 @@ class StemCache:
             stats.misses_double_probe += 1
         else:
             stats.misses_single_probe += 1
+        config = self.config
+        counter_max = self._counter_max
         monitor = self.monitors[set_index]
+        sc_s = monitor.sc_s
+        sc_t = monitor.sc_t
         signature = self._hash(tag)
-        # Inlined SetMonitor.probe_shadow (this is the hottest miss-path
-        # call): invalidate on hit, pulse both saturating counters.
+        # Shadow probe: invalidate on hit, pulse both counters.
         shadow = monitor.shadow
         if signature in shadow._members:
             shadow._members.discard(signature)
             shadow._order.remove(signature)
-            counter = monitor.sc_s
-            if counter._value < counter.max_value:
-                counter._value += 1
-            counter = monitor.sc_t
-            if counter._value < counter.max_value:
-                counter._value += 1
+            if sc_s._value < counter_max:
+                sc_s._value += 1
+            if sc_t._value < counter_max:
+                sc_t._value += 1
             stats.shadow_hits += 1
-            tracer = self.tracer
             if tracer.enabled:
                 if tracer.full:
                     tracer.emit(ShadowHit(
@@ -229,12 +242,95 @@ class StemCache:
                     ))
                 else:
                     tracer.skip()
-        self._fill(set_index, tag, is_write)
-        if monitor.wants_policy_swap:
-            if self.config.enable_temporal and not self._in_safe_mode[set_index]:
+        lookup = self._lookup[set_index]
+        way_keys = self._way_key[set_index]
+        dirty_row = self._dirty[set_index]
+        order = self._order[set_index]
+        free = self._free[set_index]
+        if free:
+            way = free.pop()
+        else:
+            # Remove the replacement victim from the set.
+            way = order[0]
+            key = way_keys[way]
+            dirty = dirty_row[way]
+            del lookup[key]
+            way_keys[way] = None
+            if tracer.enabled:
+                if tracer.full or key & 1:
+                    tracer.emit(Eviction(
+                        access=stats.accesses,
+                        set_index=set_index,
+                        global_access=self._access_base + stats.accesses,
+                        tag=key >> 1,
+                        dirty=dirty,
+                        cooperative=bool(key & 1),
+                    ))
+                else:
+                    tracer.skip()
+            dirty_row[way] = False
+            del order[0]
+            stats.evictions += 1
+            victim_tag = key >> 1
+            if key & 1:
+                # This set is a giver evicting a cooperatively cached
+                # block owned by its coupled taker.
+                self._drop_cooperative(set_index, victim_tag, dirty)
+            else:
+                if (
+                    config.enable_spatial
+                    and roles[set_index] == _UNCOUPLED
+                    and not self._in_safe_mode[set_index]
+                    and sc_s._value == counter_max
+                ):
+                    # "When an uncoupled taker set needs to evict a
+                    # block, it first sends a coupling request to the HW
+                    # heap" (§4.5).
+                    self._try_couple(set_index)
+                spilled = False
+                if roles[set_index] == _TAKER and sc_s._value >= self._giver_bit:
+                    giver = self.association.partner_of(set_index)
+                    if self._receiving_allowed(giver):
+                        self._spill(set_index, giver, victim_tag, dirty)
+                        spilled = True
+                    else:
+                        self._spill_reject(set_index, giver, victim_tag)
+                if not spilled:
+                    # The block leaves the chip: write back and file its
+                    # signature in the shadow set, ranked per the
+                    # shadow's policy (opposite of the set's, §4.3).
+                    if dirty:
+                        stats.writebacks += 1
+                    victim_signature = self._hash(victim_tag)
+                    shadow_mode = self._mode[set_index]
+                    if config.invert_shadow_policy:
+                        shadow_mode ^= 1
+                    at_mru = shadow_mode == _MODE_LRU or self._throttle_mru()
+                    shadow = monitor.shadow
+                    members = shadow._members
+                    ranks = shadow._order
+                    if victim_signature in members:
+                        ranks.remove(victim_signature)
+                    elif len(ranks) >= shadow.capacity:
+                        members.discard(ranks.pop(0))
+                    members.add(victim_signature)
+                    if at_mru:
+                        ranks.append(victim_signature)
+                    else:
+                        ranks.insert(0, victim_signature)
+        key = tag << 1
+        lookup[key] = way
+        way_keys[way] = key
+        dirty_row[way] = is_write
+        if self._mode[set_index] == _MODE_LRU or self._throttle_mru():
+            order.append(way)
+        else:
+            order.insert(0, way)
+        if sc_t._value == counter_max:
+            # The shadow's policy is winning: swap and restart the duel.
+            if config.enable_temporal and not self._in_safe_mode[set_index]:
                 self._mode[set_index] ^= 1
                 stats.policy_swaps += 1
-                tracer = self.tracer
                 if tracer.enabled:
                     tracer.emit(PolicySwap(
                         access=stats.accesses,
@@ -243,8 +339,15 @@ class StemCache:
                         mode=self.policy_mode_of(set_index),
                         hits=stats.hits,
                     ))
-            monitor.acknowledge_policy_swap()
-        self._maybe_post_giver(set_index, monitor)
+            sc_t._value = 0
+        if (
+            config.enable_spatial
+            and roles[set_index] == _UNCOUPLED
+            and not self._in_safe_mode[set_index]
+        ):
+            value = sc_s._value
+            if value < self._giver_bit:
+                self.heap.offer(set_index, value)
         return AccessKind.MISS_COOP if probed_coop else AccessKind.MISS
 
     def access_batch(
@@ -281,7 +384,7 @@ class StemCache:
         rng = self.rng
         miss = self._access_miss
         spatial = config.enable_spatial
-        giver_bit = 1 << (config.counter_bits - 1)
+        giver_bit = self._giver_bit
         ratio_bits = config.spatial_ratio_bits
         if ratio_bits > 0:
             jump_vals, jump_states = Lfsr.jump_table(ratio_bits)
@@ -350,61 +453,27 @@ class StemCache:
     # Fill / spill machinery
     # ------------------------------------------------------------------
 
-    def _fill(self, set_index: int, tag: int, is_write: bool) -> None:
-        free = self._free[set_index]
-        if free:
-            way = free.pop()
-        else:
-            way = self._order[set_index][0]
-            self._evict_for_fill(set_index, way)
-        self._install(set_index, way, tag << 1, is_write)
-
-    def _evict_for_fill(self, set_index: int, way: int) -> None:
-        """Evict the replacement victim of ``set_index`` before a fill."""
-        key = self._way_key[set_index][way]
-        dirty = self._dirty[set_index][way]
-        self._remove(set_index, way)
-        if key & 1:
-            # This set is a giver evicting a cooperatively cached block
-            # owned by its coupled taker.
-            self._drop_cooperative(set_index, key >> 1, dirty)
-            return
-        victim_tag = key >> 1
-        monitor = self.monitors[set_index]
-        if (
-            self.config.enable_spatial
-            and self._coupled_role[set_index] == _UNCOUPLED
-            and not self._in_safe_mode[set_index]
-            and monitor.is_taker
-        ):
-            # "When an uncoupled taker set needs to evict a block, it
-            # first sends a coupling request to the HW heap" (§4.5).
-            self._try_couple(set_index)
-        if self._coupled_role[set_index] == _TAKER and not monitor.is_giver:
-            giver = self.association.partner_of(set_index)
-            if self._receiving_allowed(giver):
-                self._spill(set_index, giver, victim_tag, dirty)
-                return
-            self.stats.spill_rejects += 1
-            tracer = self.tracer
-            if tracer.enabled:
-                if tracer.full:
-                    tracer.emit(SpillReject(
-                        access=self.stats.accesses,
-                        set_index=set_index,
-                        global_access=self._access_base + self.stats.accesses,
-                        giver=giver,
-                        tag=victim_tag,
-                    ))
-                else:
-                    tracer.skip()
-        self._evict_off_chip(set_index, victim_tag, dirty)
-
     def _receiving_allowed(self, giver: int) -> bool:
         """Receiving control (§4.6): the giver must still be unsaturated."""
         if not self.config.receiving_control:
             return True
         return self.monitors[giver].is_giver
+
+    def _spill_reject(self, taker: int, giver: int, tag: int) -> None:
+        """Receiving control refused a taker victim; it leaves the chip."""
+        self.stats.spill_rejects += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            if tracer.full:
+                tracer.emit(SpillReject(
+                    access=self.stats.accesses,
+                    set_index=taker,
+                    global_access=self._access_base + self.stats.accesses,
+                    giver=giver,
+                    tag=tag,
+                ))
+            else:
+                tracer.skip()
 
     def _drop_cooperative(self, giver: int, victim_tag: int, dirty: bool) -> None:
         """A giver evicted one of its taker's blocks off-chip."""

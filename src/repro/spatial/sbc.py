@@ -108,8 +108,7 @@ class SbcCache:
         set_index, tag = self.mapper.split(address)
         stats = self.stats
         stats.accesses += 1
-        local_key = tag << 1
-        way = self._lookup[set_index].get(local_key)
+        way = self._lookup[set_index].get(tag << 1)
         if way is not None:
             stats.hits += 1
             stats.local_hits += 1
@@ -120,8 +119,83 @@ class SbcCache:
                 self._dirty[set_index][way] = True
             self._promote(set_index, way)
             return AccessKind.LOCAL_HIT
+        return self._access_miss(set_index, tag, is_write)
+
+    def access_batch(
+        self,
+        addresses,
+        set_indices,
+        tags,
+        writes,
+        start: int,
+        stop: int,
+    ) -> None:
+        """Process accesses ``[start, stop)`` from precomputed arrays.
+
+        Inlines the local-hit path (saturation decay, the destination
+        set selector offer, the ledger hit counter under a tracer, dirty
+        bit, recency promotion) and defers every miss to
+        :meth:`_access_miss`.  Locally accumulated counters are flushed
+        into :attr:`stats` before each miss; every SBC event comes from
+        the miss half, so each sees the scalar path's ``stats`` snapshot
+        and the loop stays on under any tracer.
+        """
+        stats = self.stats
+        lookup = self._lookup
+        orders = self._order
+        dirty_rows = self._dirty
+        saturations = self._saturation
+        roles = self._role
+        heap_offer = self.heap.offer
+        threshold = self.couple_threshold
+        miss = self._access_miss
+        has_writes = writes is not None
+        traced = self.tracer.enabled
+        led_hits = self._led_hits
+        acc = hits = 0
+        for n in range(start, stop):
+            set_index = set_indices[n]
+            tag = tags[n]
+            way = lookup[set_index].get(tag << 1)
+            if way is None:
+                stats.accesses += acc + 1
+                stats.hits += hits
+                stats.local_hits += hits
+                acc = hits = 0
+                miss(set_index, tag, has_writes and bool(writes[n]))
+                continue
+            acc += 1
+            hits += 1
+            if traced:
+                led_hits[set_index] += 1
+            # Inlined _on_set_hit.
+            saturation = saturations[set_index] - 1
+            if saturation < 0:
+                saturation = 0
+            saturations[set_index] = saturation
+            if saturation < threshold and roles[set_index] == _ROLE_NONE:
+                heap_offer(set_index, saturation)
+            if has_writes and writes[n]:
+                dirty_rows[set_index][way] = True
+            order = orders[set_index]
+            order.remove(way)
+            order.append(way)
+        stats.accesses += acc
+        stats.hits += hits
+        stats.local_hits += hits
+
+    def _access_miss(self, set_index: int, tag: int, is_write: bool) -> AccessKind:
+        """Miss half of :meth:`access`, shared with :meth:`access_batch`.
+
+        Probes a coupled source's destination, then fills: the common
+        eviction (demand victim removed and written back off chip) and
+        the install are inlined; coupling, spill and the cooperative
+        drop stay calls, in the order the controller makes them.
+        """
+        stats = self.stats
+        roles = self._role
         probed_coop = False
-        if self._role[set_index] == _ROLE_SOURCE:
+        if roles[set_index] == _ROLE_SOURCE:
             dest = self.association.partner_of(set_index)
             probed_coop = True
             coop_way = self._lookup[dest].get((tag << 1) | 1)
@@ -150,7 +224,55 @@ class SbcCache:
             stats.misses_single_probe += 1
         saturation = min(self.saturation_limit, self._saturation[set_index] + 1)
         self._saturation[set_index] = saturation
-        self._fill(set_index, tag, is_write)
+        lookup = self._lookup[set_index]
+        way_keys = self._way_key[set_index]
+        dirty_row = self._dirty[set_index]
+        order = self._order[set_index]
+        free = self._free[set_index]
+        if free:
+            way = free.pop()
+        else:
+            # Evict the LRU block (inlined _remove).
+            way = order[0]
+            key = way_keys[way]
+            dirty = dirty_row[way]
+            del lookup[key]
+            way_keys[way] = None
+            tracer = self.tracer
+            if tracer.enabled:
+                if tracer.full or key & 1:
+                    tracer.emit(Eviction(
+                        access=stats.accesses,
+                        set_index=set_index,
+                        global_access=self._access_base + stats.accesses,
+                        tag=key >> 1,
+                        dirty=dirty,
+                        cooperative=bool(key & 1),
+                    ))
+                else:
+                    tracer.skip()
+            dirty_row[way] = False
+            del order[0]
+            stats.evictions += 1
+            if key & 1:
+                # A cooperatively cached block: it belongs to the
+                # coupled source; its loss may dissolve the pair.
+                self._drop_cooperative(set_index, dirty)
+            elif roles[set_index] == _ROLE_SOURCE:
+                self._spill(set_index, key >> 1, dirty)
+            elif (
+                roles[set_index] == _ROLE_NONE
+                and saturation >= self.saturation_limit
+                and self._try_couple(set_index) is not None
+            ):
+                self._spill(set_index, key >> 1, dirty)
+            elif dirty:
+                stats.writebacks += 1
+        key = tag << 1
+        lookup[key] = way
+        way_keys[way] = key
+        dirty_row[way] = is_write
+        order.append(way)  # SBC inserts at MRU.
         return AccessKind.MISS_COOP if probed_coop else AccessKind.MISS
 
     def _on_set_hit(self, set_index: int) -> None:
@@ -171,38 +293,6 @@ class SbcCache:
     # ------------------------------------------------------------------
     # Fill / spill machinery
     # ------------------------------------------------------------------
-
-    def _fill(self, set_index: int, tag: int, is_write: bool) -> None:
-        free = self._free[set_index]
-        if free:
-            way = free.pop()
-        else:
-            way = self._order[set_index][0]
-            self._evict_for_fill(set_index, way)
-        self._install(set_index, way, (tag << 1), is_write)
-
-    def _evict_for_fill(self, set_index: int, way: int) -> None:
-        """Evict the LRU block of ``set_index`` ahead of a demand fill."""
-        key = self._way_key[set_index][way]
-        dirty = self._dirty[set_index][way]
-        self._remove(set_index, way)
-        if key & 1:
-            # A cooperatively cached block: it belongs to the coupled
-            # source; its loss may dissolve the pair.
-            self._drop_cooperative(set_index, dirty)
-            return
-        if self._role[set_index] == _ROLE_SOURCE:
-            self._spill(set_index, key >> 1, dirty)
-            return
-        if (
-            self._role[set_index] == _ROLE_NONE
-            and self._saturation[set_index] >= self.saturation_limit
-        ):
-            dest = self._try_couple(set_index)
-            if dest is not None:
-                self._spill(set_index, key >> 1, dirty)
-                return
-        self._evict_off_chip(dirty)
 
     def _drop_cooperative(self, dest_index: int, dirty: bool) -> None:
         self._evict_off_chip(dirty)

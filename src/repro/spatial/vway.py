@@ -119,23 +119,83 @@ class VwayCache:
             order.remove(entry)
             order.append(entry)
             return AccessKind.LOCAL_HIT
+        return self._access_miss(set_index, tag, is_write)
+
+    def access_batch(
+        self,
+        addresses,
+        set_indices,
+        tags,
+        writes,
+        start: int,
+        stop: int,
+    ) -> None:
+        """Process accesses ``[start, stop)`` from precomputed arrays.
+
+        Inlines the local-hit path (reuse-counter bump, dirty bit,
+        recency promotion) and defers every miss to
+        :meth:`_access_miss`.  Locally accumulated counters are flushed
+        into :attr:`stats` before each miss; every V-Way event comes
+        from the miss half, so each sees the scalar path's ``stats``
+        snapshot and the loop stays on under any tracer.
+        """
+        stats = self.stats
+        tag_to_entry = self._tag_to_entry
+        entry_line = self._entry_line
+        reuse = self._line_reuse
+        line_dirty = self._line_dirty
+        orders = self._tag_order
+        max_reuse = self.max_reuse
+        miss = self._access_miss
+        has_writes = writes is not None
+        acc = hits = 0
+        for n in range(start, stop):
+            set_index = set_indices[n]
+            tag = tags[n]
+            entry = tag_to_entry[set_index].get(tag)
+            if entry is None:
+                stats.accesses += acc + 1
+                stats.hits += hits
+                stats.local_hits += hits
+                acc = hits = 0
+                miss(set_index, tag, has_writes and bool(writes[n]))
+                continue
+            acc += 1
+            hits += 1
+            line = entry_line[entry]
+            if reuse[line] < max_reuse:
+                reuse[line] += 1
+            if has_writes and writes[n]:
+                line_dirty[line] = True
+            order = orders[set_index]
+            order.remove(entry)
+            order.append(entry)
+        stats.accesses += acc
+        stats.hits += hits
+        stats.local_hits += hits
+
+    def _access_miss(self, set_index: int, tag: int, is_write: bool) -> AccessKind:
+        """Miss half of :meth:`access`, shared with :meth:`access_batch`."""
+        stats = self.stats
         stats.misses += 1
         stats.misses_single_probe += 1
+        table = self._tag_to_entry[set_index]
+        order = self._tag_order[set_index]
         free = self._free_entries[set_index]
         if free:
             entry = free.pop()
             line = self._allocate_line()
         else:
             # Tag replacement: reuse the set-LRU entry's own data line.
-            entry = self._tag_order[set_index].pop(0)
+            entry = order.pop(0)
             old_tag = self._entry_tag[entry]
-            del self._tag_to_entry[set_index][old_tag]
+            del table[old_tag]
             line = self._entry_line[entry]
             self._retire_line(line, set_index, old_tag)
         self._entry_tag[entry] = tag
         self._entry_line[entry] = line
-        self._tag_to_entry[set_index][tag] = entry
-        self._tag_order[set_index].append(entry)
+        table[tag] = entry
+        order.append(entry)
         self._line_entry[line] = entry
         self._line_reuse[line] = 0
         self._line_dirty[line] = is_write
@@ -165,19 +225,25 @@ class VwayCache:
         """Hand out a data line, running reuse replacement if needed."""
         if self._free_lines:
             return self._free_lines.pop()
-        num_lines = self.geometry.num_lines
         reuse = self._line_reuse
         hand = self._clock_hand
-        # Bounded sweep: after max_reuse + 1 laps a zero is guaranteed.
-        for _ in range(num_lines * (self.max_reuse + 1) + 1):
-            if reuse[hand] == 0:
-                break
-            reuse[hand] -= 1
-            hand = hand + 1 if hand + 1 < num_lines else 0
+        # The clock sweeps from the hand to the first zero-reuse line,
+        # decrementing every line it passes.  A lap that finds no zero
+        # decrements the rest of the array and wraps to line 0; after
+        # max_reuse + 1 laps a zero is guaranteed.
+        for _ in range(self.max_reuse + 2):
+            try:
+                line = reuse.index(0, hand)
+            except ValueError:
+                reuse[hand:] = [count - 1 for count in reuse[hand:]]
+                hand = 0
+                continue
+            if line > hand:
+                reuse[hand:line] = [count - 1 for count in reuse[hand:line]]
+            break
         else:
             raise SimulationError("reuse replacement failed to find a victim")
-        line = hand
-        self._clock_hand = hand + 1 if hand + 1 < num_lines else 0
+        self._clock_hand = line + 1 if line + 1 < len(reuse) else 0
         owner = self._line_entry[line]
         owner_set = owner // self.entries_per_set
         owner_tag = self._entry_tag[owner]

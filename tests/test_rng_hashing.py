@@ -45,6 +45,29 @@ class TestLfsr:
         with pytest.raises(ConfigError):
             Lfsr().next_bits(0)
 
+    def test_jump_tables_match_bit_stepping(self, monkeypatch):
+        # Every width up to the register's 16 bits, and one composed
+        # width, against w next_bit() steps from every non-zero state.
+        monkeypatch.setattr(Lfsr, "_JUMP_TABLES", {})
+        monkeypatch.setattr(Lfsr, "_CYCLE", [])
+        widths = list(range(1, 17)) + [20]
+        expected = {
+            width: ([0] * 0x10000, [0] * 0x10000) for width in widths
+        }
+        for start in range(1, 0x10000):
+            lfsr = Lfsr(seed=start)
+            value = 0
+            for width in range(1, max(widths) + 1):
+                value = (value << 1) | lfsr.next_bit()
+                if width in expected:
+                    values, states = expected[width]
+                    values[start] = value
+                    states[start] = lfsr.state
+        for width in widths:
+            values, states = Lfsr.jump_table(width)
+            assert states[0] == 0 and values[0] == 0
+            assert (values, states) == expected[width], width
+
 
 class TestSplitMix:
     def test_deterministic(self):
