@@ -164,7 +164,12 @@ class Trace:
     # ------------------------------------------------------------------
 
     def save(self, path: "Path | str") -> None:
-        """Write the trace as '<json header>\\n<hex addr>[ w]\\n...'."""
+        """Write the trace as '<json header>\\n<hex addr>[ w]\\n...'.
+
+        The header's ``writes`` key says whether the trace has a write
+        mask, so an all-read mask survives the round trip (and with it
+        the content digest).
+        """
         path = Path(path)
         header = {
             "name": self.metadata.name,
@@ -173,6 +178,7 @@ class Trace:
             "address_bits": self.metadata.address_bits,
             "description": self.metadata.description,
             "spec_class": self.metadata.spec_class,
+            "writes": self.writes is not None,
         }
         # Write-then-rename so a crash mid-save can never leave a
         # truncated trace where a complete one is expected.
@@ -194,7 +200,9 @@ class Trace:
         required key, a non-hex address, a negative address, or an
         address wider than the header's ``address_bits`` — raises
         :class:`TraceError` naming the file (and line), never a bare
-        ``KeyError`` or ``ValueError``.
+        ``KeyError`` or ``ValueError``.  A header without the ``writes``
+        key (written before it existed) gets a write mask exactly when
+        some line is marked ``w``.
         """
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
@@ -226,6 +234,12 @@ class Trace:
                 raise TraceError(
                     f"trace header in {path} has ill-typed values: {exc}"
                 ) from exc
+            has_mask = header.get("writes")
+            if has_mask is not None and not isinstance(has_mask, bool):
+                raise TraceError(
+                    f"trace header in {path} has ill-typed values: "
+                    f"writes must be true or false, got {has_mask!r}"
+                )
             address_limit = 1 << metadata.address_bits
             addresses: List[int] = []
             writes: List[bool] = []
@@ -254,4 +268,6 @@ class Trace:
                 is_write = len(parts) > 1 and parts[1] == "w"
                 writes.append(is_write)
                 any_write = any_write or is_write
-        return cls(metadata, addresses, writes if any_write else None)
+        if has_mask is None:  # written before the header said
+            has_mask = any_write
+        return cls(metadata, addresses, writes if has_mask else None)

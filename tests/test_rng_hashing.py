@@ -1,11 +1,22 @@
 """Unit tests for the LFSR, SplitMix and the H3 hash family."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.hashing import H3Hash, fold_xor, parity
-from repro.common.rng import Lfsr, SplitMix
+from repro.common.rng import (
+    SPLITMIX_MASK,
+    SPLITMIX_SCALE,
+    Lfsr,
+    SplitMix,
+    SplitMixBlock,
+    splitmix_cut,
+)
+from repro.workloads import generators
+from repro.workloads.spec_like import BENCHMARKS
 
 
 class TestLfsr:
@@ -108,6 +119,76 @@ class TestSplitMix:
         rng.shuffle(shuffled)
         assert sorted(shuffled) == items
         assert shuffled != items  # vanishingly unlikely to be identity
+
+
+def _stepped(state, count):
+    rng = SplitMix(state)
+    return [rng.next_u64() for _ in range(count)], rng.state
+
+
+class TestSplitMixBlock:
+    @given(
+        state=st.integers(min_value=0, max_value=SPLITMIX_MASK),
+        count=st.integers(min_value=1, max_value=300),
+    )
+    def test_matches_next_u64(self, state, count):
+        expected, after = _stepped(state, count)
+        block = SplitMixBlock(state, count)
+        assert block.values.tolist() == expected
+        assert block.state_at(count) == after
+
+    @pytest.mark.parametrize(
+        "state", [0, 1, SPLITMIX_MASK, 0x0123456789ABCDEF]
+    )
+    def test_matches_next_u64_past_one_block(self, state):
+        count = generators._BLOCK_DRAWS + 3
+        expected, after = _stepped(state, count)
+        block = SplitMixBlock(state, count)
+        assert block.values.tolist() == expected
+        assert block.state_at(count) == after
+
+    def test_state_at_resumes_mid_block(self):
+        block = SplitMixBlock(SPLITMIX_MASK - 5, 64)
+        for k in (0, 1, 37, 63):
+            assert SplitMixBlock(block.state_at(k), 1).values[0] == (
+                block.values[k]
+            )
+
+    def test_above_flags_draws_over_the_cut(self):
+        block = SplitMixBlock(2024, 500)
+        values = block.values.tolist()
+        for cut in [-1, 0, min(values), values[7], 1 << 63, SPLITMIX_MASK]:
+            assert block.above(cut) == bytes(v > cut for v in values)
+
+
+def _thresholds():
+    """Edge cases plus every x the 15 models hand to splitmix_cut."""
+    thresholds = {0.0, 2.0 ** -70, 1e-9, 0.01, 0.25, 1 / 3, 0.5, 1.0}
+    for benchmark in BENCHMARKS.values():
+        for group in benchmark.groups:
+            escape = 1.0 / group.reuse_mean
+            thresholds.update((
+                group.new_fraction, escape, math.nextafter(escape, math.inf),
+            ))
+            if group.stream_fraction > 0.0:
+                thresholds.add(group.stream_fraction)
+    return sorted(thresholds)
+
+
+class TestSplitMixCut:
+    @pytest.mark.parametrize("x", _thresholds())
+    def test_cut_is_the_float_comparison(self, x):
+        cut = splitmix_cut(x)
+        if cut >= 0:
+            assert cut / SPLITMIX_SCALE < x
+        if cut + 1 <= SPLITMIX_MASK:
+            assert not (cut + 1) / SPLITMIX_SCALE < x
+
+    def test_rounding_sets_the_cut_below_one(self):
+        # Every u >= 2**64 - 1024 divides to exactly 1.0.
+        assert splitmix_cut(1.0) == (1 << 64) - 1025
+        assert splitmix_cut(0.0) == -1
+        assert splitmix_cut(2.0) == SPLITMIX_MASK
 
 
 class TestParityAndFold:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.common.errors import TraceError
+from repro.workloads.spec_like import make_benchmark_trace
 from repro.workloads.trace import Trace, TraceMetadata
 
 
@@ -77,6 +78,40 @@ class TestPersistence:
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.writes == trace.writes
+
+    @pytest.mark.parametrize("write_fraction", [0.0, 0.01, 0.3])
+    def test_roundtrip_keeps_the_content_digest(
+        self, tmp_path, write_fraction
+    ):
+        # 0.01 gives 50 read flags: a mask with no write in it.
+        trace = make_benchmark_trace(
+            "mcf", num_sets=64, length=50, write_fraction=write_fraction
+        )
+        assert (trace.writes is not None) == (write_fraction > 0.0)
+        if write_fraction == 0.01:
+            assert not any(trace.writes)
+        path = tmp_path / "mcf.trace"
+        trace.save(path)
+        loaded = Trace.load(path)
+        assert loaded.writes == trace.writes
+        assert loaded.content_digest() == trace.content_digest()
+
+    @pytest.mark.parametrize("lines, writes", [
+        ("40\n80\n", None),
+        ("40\n80 w\n", [False, True]),
+    ])
+    def test_header_without_writes_key_infers_the_mask(
+        self, tmp_path, lines, writes
+    ):
+        path = tmp_path / "old.trace"
+        path.write_text('{"name": "x", "instructions": 10}\n' + lines)
+        assert Trace.load(path).writes == writes
+
+    def test_ill_typed_writes_key_rejected(self, tmp_path):
+        path = tmp_path / "typed.trace"
+        path.write_text('{"name": "x", "instructions": 10, "writes": 1}\n40\n')
+        with pytest.raises(TraceError, match="writes"):
+            Trace.load(path)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"

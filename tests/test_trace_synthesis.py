@@ -11,14 +11,6 @@ run-cache entry and every existing campaign journal.
 
 import pytest
 
-from repro.common.rng import (
-    SPLITMIX_GAMMA,
-    SPLITMIX_MASK,
-    SPLITMIX_MIX1,
-    SPLITMIX_MIX2,
-    SPLITMIX_SCALE,
-    SplitMix,
-)
 from repro.workloads.mixes import phased_trace
 from repro.workloads.patterns import hot_cold, pointer_chase
 from repro.workloads.spec_like import (
@@ -99,19 +91,3 @@ def test_pointer_chase_bytes():
         "b77daed02e104d2b6c02fda218fe1eadcedce953b7fb93b1ac0d8cc3ac57f5f0"
     )
 
-
-def test_inlined_draw_matches_splitmix():
-    """The step ``generate_trace`` inlines, written out from the
-    exported constants, reproduces ``SplitMix.random()`` draw for draw."""
-    rng = SplitMix(seed=20_100)
-    expected = [rng.random() for _ in range(100_000)]
-    state = SplitMix(seed=20_100).state
-    drawn = []
-    for _ in range(100_000):
-        state = (state + SPLITMIX_GAMMA) & SPLITMIX_MASK
-        z = state
-        z = ((z ^ (z >> 30)) * SPLITMIX_MIX1) & SPLITMIX_MASK
-        z = ((z ^ (z >> 27)) * SPLITMIX_MIX2) & SPLITMIX_MASK
-        drawn.append((z ^ (z >> 31)) / SPLITMIX_SCALE)
-    assert drawn == expected
-    assert state == rng.state
