@@ -20,6 +20,7 @@ from repro.common.stats import CacheStats
 from repro.obs.events import Eviction
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.base import RecencyPolicy, ReplacementPolicy
+from repro.policies.pelifo import _MODE_LIFO, _MODE_LRU, PeLifoPolicy
 
 #: Callback signature for eviction notifications: (block_address, dirty).
 EvictionListener = Callable[[int, bool], None]
@@ -137,11 +138,12 @@ class SetAssociativeCache:
         Semantically identical to calling :meth:`access` once per entry
         (same final state, same statistics), but with the set-index/tag
         split hoisted out and hot attributes bound to locals.  Recency
-        policies with no eviction listener additionally get the policy
-        protocol inlined.  Under a tracer the per-set ledger hit counter
-        keeps counting and inlined evictions are counted, not built.
-        Only a sink reading every event sends the loop back to the
-        scalar path, where each event's ``stats`` snapshot is exact.
+        policies and PeLIFO with no eviction listener additionally get
+        the policy protocol inlined.  Under a tracer the per-set ledger
+        hit counter keeps counting and inlined evictions are counted,
+        not built.  Only a sink reading every event sends the loop back
+        to the scalar path, where each event's ``stats`` snapshot is
+        exact.
         """
         tracer = self.tracer
         if tracer.full:
@@ -164,7 +166,11 @@ class SetAssociativeCache:
         traced = tracer.enabled
         led_hits = self._led_hits
         hits = evictions = writebacks = 0
-        if (
+        if cls is PeLifoPolicy and self.eviction_listener is None:
+            hits, evictions, writebacks = self._pelifo_batch(
+                set_indices, tags, writes, start, stop
+            )
+        elif (
             isinstance(policy, RecencyPolicy)
             and self.eviction_listener is None
             and cls.victim is RecencyPolicy.victim
@@ -271,6 +277,116 @@ class SetAssociativeCache:
         stats.writebacks += writebacks
         if traced and evictions:
             tracer.skip(evictions)
+
+    def _pelifo_batch(
+        self,
+        set_indices: Sequence[int],
+        tags: Sequence[int],
+        writes: Optional[Sequence[bool]],
+        start: int,
+        stop: int,
+    ) -> "tuple[int, int, int]":
+        """:meth:`access_batch`'s loop for a :class:`PeLifoPolicy`.
+
+        Inlines ``on_hit``, ``on_miss``, ``victim``, the eviction and
+        ``on_fill`` in the scalar path's order: on a miss the leader
+        counters and the epoch tick come first, then the victim, the
+        eviction and the fill.  The epoch election runs through the
+        policy's own :meth:`PeLifoPolicy._elect`, and the epoch count
+        is written back, so chunk boundaries change nothing.  Returns
+        the chunk's hit, eviction and write-back counts.
+        """
+        policy = self.policy
+        stacks = policy._fill_stack
+        recencies = policy._recency
+        roles = policy._roles
+        depth_hits = policy._depth_hits
+        mode_misses = policy._mode_misses
+        mode_accesses = policy._mode_accesses
+        learned_depth = policy._learned_depth
+        elect = policy._elect
+        epoch_length = policy.epoch_length
+        events = policy._events
+        best_mode = policy._best_mode
+        deepest = policy.associativity - 1
+        tag_tables = self._tag_to_way
+        way_tags = self._way_tag
+        dirty_rows = self._dirty
+        free_lists = self._free_ways
+        has_writes = writes is not None
+        traced = self.tracer.enabled
+        led_hits = self._led_hits
+        hits = evictions = writebacks = 0
+        for n in range(start, stop):
+            set_index = set_indices[n]
+            tag = tags[n]
+            table = tag_tables[set_index]
+            way = table.get(tag)
+            role = roles[set_index]
+            if way is not None:
+                hits += 1
+                if traced:
+                    led_hits[set_index] += 1
+                if has_writes and writes[n]:
+                    dirty_rows[set_index][way] = True
+                stack = stacks[set_index]
+                depth = len(stack) - 1 - stack.index(way)
+                depth_hits[depth if depth < deepest else deepest] += 1
+                if role != -1:
+                    mode_accesses[role] += 1
+                recency = recencies[set_index]
+                recency.remove(way)
+                recency.append(way)
+                events += 1
+                if events >= epoch_length:
+                    elect()
+                    events = 0
+                    best_mode = policy._best_mode
+                continue
+            if role != -1:
+                mode_misses[role] += 1
+                mode_accesses[role] += 1
+            events += 1
+            if events >= epoch_length:
+                elect()
+                events = 0
+                best_mode = policy._best_mode
+            stack = stacks[set_index]
+            recency = recencies[set_index]
+            free = free_lists[set_index]
+            if free:
+                way = free.pop()
+            else:
+                if not stack:
+                    raise SimulationError(
+                        f"victim() on empty fill stack for set {set_index}"
+                    )
+                mode = role if role != -1 else best_mode
+                if mode == _MODE_LRU:
+                    way = recency[0]
+                elif mode == _MODE_LIFO:
+                    way = stack[-1]
+                else:
+                    depth = learned_depth()
+                    top = len(stack) - 1
+                    way = stack[top - (depth if depth < top else top)]
+                del table[way_tags[set_index][way]]
+                evictions += 1
+                dirty_row = dirty_rows[set_index]
+                if dirty_row[way]:
+                    writebacks += 1
+                    dirty_row[way] = False
+            table[tag] = way
+            way_tags[set_index][way] = tag
+            dirty_rows[set_index][way] = has_writes and bool(writes[n])
+            if way in stack:
+                stack.remove(way)
+            stack.append(way)
+            if way in recency:
+                recency.remove(way)
+            recency.append(way)
+        policy._events = events
+        return hits, evictions, writebacks
 
     def _evict(self, set_index: int, way: int) -> None:
         """Remove the block in ``way`` and account for its write-back."""

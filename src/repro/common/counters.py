@@ -92,6 +92,8 @@ class PolicySelector:
     __slots__ = ("_counter",)
 
     def __init__(self, bits: int = 10) -> None:
+        if bits <= 0:
+            raise ConfigError(f"PSEL width must be positive, got {bits}")
         midpoint = 1 << (bits - 1)
         self._counter = SaturatingCounter(bits, initial=midpoint)
 

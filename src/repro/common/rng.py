@@ -153,6 +153,12 @@ class Lfsr:
 
     def one_in(self, power: int) -> bool:
         """True with probability 1/2**power (the paper's n-bit-zero test)."""
+        table = Lfsr._JUMP_TABLES.get(power)
+        if table is not None:
+            # next_bits(power) == 0, read straight from the jump table.
+            s = self._state
+            self._state = table[1][s]
+            return not table[0][s]
         if power <= 0:
             return True
         return self.next_bits(power) == 0

@@ -51,6 +51,9 @@ class DipPolicy(RecencyPolicy):
         self.psel = PolicySelector(bits=psel_bits)
         self.throttle_bits = throttle_bits
         self._roles: list = []
+        # Per role: True when a fill always lands at MRU.  The follower
+        # entry mirrors the PSEL winner; only on_miss moves the PSEL.
+        self._always_mru = [True, False, self.psel.winner() == 0]
 
     def _allocate(self) -> None:
         super()._allocate()
@@ -80,13 +83,13 @@ class DipPolicy(RecencyPolicy):
             self.psel.policy0_missed()
         elif role == _BIP_LEADER:
             self.psel.policy1_missed()
+        else:
+            return
+        self._always_mru[_FOLLOWER] = self.psel.winner() == 0
 
     def _insert_at_mru(self, set_index: int) -> bool:
-        role = self._roles[set_index]
-        if role == _LRU_LEADER:
-            return True
-        if role == _BIP_LEADER:
-            return self.rng.one_in(self.throttle_bits)
-        if self.psel.winner() == 0:
+        # LRU leaders, and followers while LRU wins, always insert at
+        # MRU; the rest draw BIP's 1-in-2**throttle_bits.
+        if self._always_mru[self._roles[set_index]]:
             return True
         return self.rng.one_in(self.throttle_bits)

@@ -56,6 +56,10 @@ class PeLifoPolicy(ReplacementPolicy):
             raise ConfigError(
                 f"epoch_length must be positive, got {epoch_length}"
             )
+        if leaders_per_mode <= 0:
+            raise ConfigError(
+                f"leaders_per_mode must be positive, got {leaders_per_mode}"
+            )
         self.theta = theta
         self.epoch_length = epoch_length
         self.leaders_per_mode = leaders_per_mode
@@ -114,26 +118,28 @@ class PeLifoPolicy(ReplacementPolicy):
         return 0
 
     def _tick(self) -> None:
-        """Epoch bookkeeping: decay counters and re-elect the best mode.
+        """Count one hit or miss; the epoch's last one runs the election."""
+        self._events += 1
+        if self._events >= self.epoch_length:
+            self._elect()
+
+    def _elect(self) -> None:
+        """Epoch end: re-elect the best mode and decay the counters.
 
         Election compares leader-group miss *rates* rather than raw
         counts so that unevenly-accessed leader sets cannot skew the
-        duel (set sampling is sparse by design).
+        duel (set sampling is sparse by design).  The counters are
+        halved in place, so a batch loop holding them stays in step.
         """
-        self._events += 1
-        if self._events < self.epoch_length:
-            return
         self._events = 0
+        misses = self._mode_misses
+        accesses = self._mode_accesses
         self._best_mode = min(
             _MODES,
-            key=lambda m: (
-                self._mode_misses[m] / self._mode_accesses[m]
-                if self._mode_accesses[m] else 1.0
-            ),
+            key=lambda m: misses[m] / accesses[m] if accesses[m] else 1.0,
         )
-        self._mode_misses = [value // 2 for value in self._mode_misses]
-        self._mode_accesses = [value // 2 for value in self._mode_accesses]
-        self._depth_hits = [value // 2 for value in self._depth_hits]
+        for counters in (misses, accesses, self._depth_hits):
+            counters[:] = [value // 2 for value in counters]
 
     # ------------------------------------------------------------------
     # Policy protocol

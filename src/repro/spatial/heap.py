@@ -11,6 +11,8 @@ time, the way real tables tolerate stale metadata.
 
 Capacity is small (16 entries by default) so the linear scans below
 model exactly what a hardware priority structure would do in parallel.
+The heap remembers its most-saturated entry between offers, so an offer
+the full heap refuses costs one lookup and a compare instead of a scan.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class GiverHeap:
             raise ConfigError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._saturation: Dict[int, int] = {}
+        # The entry ``max(entries, key=entries.get)`` returns: the first
+        # most-saturated one in insertion order.  None while unknown; a
+        # refused offer rescans only then.
+        self._worst: Optional[int] = None
         self.offers = 0
         self.replacements = 0
 
@@ -44,16 +50,32 @@ class GiverHeap:
         """Post a giver set; returns True if it is (now) tracked."""
         self.offers += 1
         entries = self._saturation
+        worst = self._worst
         if set_index in entries:
+            if worst is not None and saturation != entries[set_index]:
+                top = entries[worst]
+                if set_index == worst:
+                    if saturation < top:
+                        self._worst = None
+                elif saturation >= top:
+                    # Above the worst it takes over; at a new tie the
+                    # earlier insertion wins, which only a scan can tell.
+                    self._worst = set_index if saturation > top else None
             entries[set_index] = saturation
             return True
         if len(entries) < self.capacity:
+            # A new entry comes last in insertion order: it is the worst
+            # only when strictly more saturated than the current one.
+            if worst is not None and saturation > entries[worst]:
+                self._worst = set_index
             entries[set_index] = saturation
             return True
-        worst_index = max(entries, key=entries.get)
-        if entries[worst_index] > saturation:
-            del entries[worst_index]
+        if worst is None:
+            worst = self._worst = max(entries, key=entries.get)
+        if entries[worst] > saturation:
+            del entries[worst]
             entries[set_index] = saturation
+            self._worst = None
             self.replacements += 1
             return True
         return False
@@ -61,6 +83,8 @@ class GiverHeap:
     def remove(self, set_index: int) -> None:
         """Drop an entry (e.g. the set just got coupled)."""
         self._saturation.pop(set_index, None)
+        if set_index == self._worst:
+            self._worst = None
 
     def entries(self) -> Dict[int, int]:
         """Snapshot of {set_index: saturation} (tests, fault injection)."""
@@ -75,6 +99,7 @@ class GiverHeap:
         real design tolerate exactly this kind of garbage.
         """
         self._saturation[set_index] = saturation
+        self._worst = None
 
     def pop_best(self, validator: Validator) -> Optional[int]:
         """Return and remove the least-saturated valid giver, if any.
@@ -87,6 +112,8 @@ class GiverHeap:
         while entries:
             best_index = min(entries, key=entries.get)
             del entries[best_index]
+            if best_index == self._worst:
+                self._worst = None
             if validator(best_index):
                 return best_index
         return None

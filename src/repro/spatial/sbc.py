@@ -222,7 +222,9 @@ class SbcCache:
             stats.misses_double_probe += 1
         else:
             stats.misses_single_probe += 1
-        saturation = min(self.saturation_limit, self._saturation[set_index] + 1)
+        saturation = self._saturation[set_index] + 1
+        if saturation > self.saturation_limit:
+            saturation = self.saturation_limit
         self._saturation[set_index] = saturation
         lookup = self._lookup[set_index]
         way_keys = self._way_key[set_index]
@@ -263,6 +265,7 @@ class SbcCache:
             elif (
                 roles[set_index] == _ROLE_NONE
                 and saturation >= self.saturation_limit
+                and self.heap  # an empty selector has no destination
                 and self._try_couple(set_index) is not None
             ):
                 self._spill(set_index, key >> 1, dirty)

@@ -91,6 +91,11 @@ class TestPolicySelector:
             psel.policy1_missed()
         assert psel.winner() == 0
 
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_rejects_bad_width(self, bits):
+        with pytest.raises(ConfigError):
+            PolicySelector(bits=bits)
+
     def test_balanced_misses_hover_near_midpoint(self):
         psel = PolicySelector(bits=10)
         for _ in range(100):

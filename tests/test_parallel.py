@@ -124,9 +124,11 @@ class TestBatchExactness:
         if scalar_ring is not None:
             assert batched_ring.events == scalar_ring.events
 
-    @pytest.mark.parametrize("scheme", ["stem", "sbc", "vway"])
+    @pytest.mark.parametrize("scheme", ["stem", "sbc", "vway", "pelifo",
+                                        "dip"])
     def test_batch_split_matches_whole(self, scheme):
-        # Flushing mid-stream (warm-up boundary) must not change counts.
+        # Flushing mid-stream (warm-up boundary) must not change counts;
+        # PeLIFO's epoch count must carry across the chunk boundaries.
         trace = small_trace("mcf", 5_000)
         whole = make_scheme(scheme, SCALE.geometry(), seed=3)
         split = make_scheme(scheme, SCALE.geometry(), seed=3)
@@ -138,6 +140,10 @@ class TestBatchExactness:
             split.access_batch(trace.addresses, set_indices, tags,
                                trace.writes, start, stop)
         assert split.stats.as_dict() == whole.stats.as_dict()
+        assert split.rng.state == whole.rng.state
+        for set_index in range(SCALE.num_sets):
+            assert split.resident_blocks(set_index) == \
+                whole.resident_blocks(set_index)
 
 
 # ----------------------------------------------------------------------

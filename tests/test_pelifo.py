@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.basecache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import Lfsr
 from repro.policies.pelifo import PeLifoPolicy
 
@@ -21,6 +21,11 @@ class TestConstruction:
     def test_rejects_bad_epoch(self):
         with pytest.raises(ConfigError):
             PeLifoPolicy(epoch_length=0)
+
+    @pytest.mark.parametrize("leaders", [0, -1, -16])
+    def test_rejects_bad_leader_count(self, leaders):
+        with pytest.raises(ConfigError):
+            PeLifoPolicy(leaders_per_mode=leaders)
 
     def test_three_leader_groups_present(self):
         policy = PeLifoPolicy()
@@ -67,6 +72,23 @@ class TestFillStackMechanics:
         policy.on_invalidate(0, 0)
         assert 0 not in policy._fill_stack[0]
         assert 0 not in policy._recency[0]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_full_set_with_empty_fill_stack_raises(self, batched):
+        geometry = CacheGeometry(num_sets=4, associativity=2)
+        cache = SetAssociativeCache(geometry, PeLifoPolicy(), rng=Lfsr())
+        addresses = [geometry.mapper.compose(tag, 0) for tag in range(3)]
+        for address in addresses[:2]:
+            cache.access(address)
+        cache.policy._fill_stack[0].clear()
+        with pytest.raises(SimulationError, match="empty fill stack"):
+            if batched:
+                set_indices, tags = zip(
+                    *(geometry.mapper.split(address) for address in addresses)
+                )
+                cache.access_batch(addresses, set_indices, tags, None, 2, 3)
+            else:
+                cache.access(addresses[2])
 
 
 class TestAdaptivity:

@@ -38,6 +38,11 @@ class TestLeaderLayout:
         with pytest.raises(ConfigError):
             DipPolicy(leaders_per_policy=0)
 
+    @pytest.mark.parametrize("bits", [0, -1])
+    def test_rejects_bad_psel_width(self, bits):
+        with pytest.raises(ConfigError):
+            DipPolicy(psel_bits=bits)
+
 
 class TestDueling:
     def test_psel_moves_on_leader_misses_only(self):

@@ -1,24 +1,29 @@
-"""STEM, SBC and V-Way behaviour, pinned byte for byte.
+"""STEM, SBC, V-Way, PeLIFO and DIP behaviour, pinned byte for byte.
 
-The three schemes' access code may be restructured for speed only if
-every access outcome, counter, LFSR draw and piece of controller state
-stays the same.  The sha256 values below were recorded before the miss
-paths were flattened and before V-Way and SBC gained batch paths.  Each
-case drives the scalar ``access()`` over a trace with 30% writes and
-pins:
+The schemes' access code may be restructured for speed only if every
+access outcome, counter, LFSR draw and piece of controller state stays
+the same.  The STEM, SBC and V-Way values below were recorded before
+the miss paths were flattened and before V-Way and SBC gained batch
+paths; the PeLIFO and DIP values and the heap-glitch campaigns before
+PeLIFO gained its own batch loop, the giver heap remembered its worst
+entry and DIP's insertion decision was flattened.  Each case drives the
+scalar ``access()`` over a trace with 30% writes and pins:
 
 * the per-access :class:`~repro.cache.access.AccessKind` sequence;
 * ``stats.as_dict()`` with the LFSR state;
 * every set's ``resident_blocks``;
 * the scheme's own controller state (STEM: shadow entries, policy
   modes, coupling roles, SC_S and SC_T; SBC: roles and saturation;
-  V-Way: lines per set and the clock hand);
+  V-Way: lines per set and the clock hand; PeLIFO: fill stacks,
+  recency, depth histogram, mode counters, epoch and best mode; DIP:
+  recency order and PSEL);
 * the manifest ``content_hash``, which also pins every public scalar
   attribute of the cache.
 
 Two fault campaigns under the CLI's default plan pin the order of
-mutations that STEM's safe mode heals after.  The package version is
-fixed so a release does not move the manifest hashes.
+mutations that STEM's safe mode heals after; two more glitch only the
+giver heap.  The package version is fixed so a release does not move
+the manifest hashes.
 """
 
 import hashlib
@@ -58,6 +63,8 @@ SCHEMES = {
         "stem", {"config": StemConfig(bip_throttle_bits=0)}),
     "sbc": ("sbc", {}),
     "vway": ("vway", {}),
+    "pelifo": ("pelifo", {}),
+    "dip": ("dip", {}),
 }
 
 #: The fields each case pins, in the order of its digest tuple.
@@ -317,6 +324,62 @@ DIGESTS = {
         "ee923f321fb13e00a7da71c82ef93e055cedc53ae3772a6e1b49f05f8fca0ac2",
         "9d06ed2ce6a83c50de0380955d3b3d0660aa59d86f05dc3545642e68fd2b0ac0",
     ),
+    ("pelifo", "mcf", 16, 4): (
+        "16e84ed27e7b11662407139c7dde2df14a4389e71fbbffb776b082e1f28cd976",
+        "fd6e457d85aae94548d685fcfeff99bbbe54af362e0d7beb5a800a1e9c790129",
+        "39d75225507f94d1d6cb411496a8ab9a0a71acc8412ead5a370e0b4c89a2582b",
+        "54513d6faceabbdb62541aa455468007d98536213c36e2c9a87fb53bad23946d",
+        "c28636cef05e756b8096ac23f692e24f4cada461fb985073795f289c2b24cb7e",
+    ),
+    ("pelifo", "mcf", 64, 16): (
+        "d01a1547f9eb7843dbfeb53ae82a9f46d0e244e9387f10d76204848fa134d71b",
+        "26d05001db8021b25043e50316e5782b92e7aff451bef7e703a43a29d26b315b",
+        "8018657cc836d7d85d3646cca503b1ee01eec4d3b7203216c49895f8c97432cb",
+        "a4006dba6aa4d7e861632d080b53395abe50f5918de537c1c4aae07f38296bdb",
+        "3fcc6ee38659ca66ecdfea8258f756fa1e99c92cf8ba89682dd19884709898f5",
+    ),
+    ("pelifo", "omnetpp", 16, 4): (
+        "0ff5cc451147a0f49e81c46e5835d6278b51e7f557063971202ca46514efa15e",
+        "581ee64f82e050307a8ccb562eb5deea439fb3693340a5fa5699009b7380a60d",
+        "0b16f22e6a369024922b762c913c46df763db46d83f22442854d456977399e5e",
+        "53f9b7928ee4d3ba30ffa9b665ee3975c3b35412ea0a85d1fbebec7c5779eeee",
+        "ef1496b931d50426edd76f90c6bb61fef7efe8d0e69082b16b42e94f6093f1ba",
+    ),
+    ("pelifo", "omnetpp", 64, 16): (
+        "c3b5cc0d2115c686a513f8e7e5cf52ac001110b066436a9361a0a105fc51e5be",
+        "5251803e1b2085f4586be4aa29ee15549fe77618735ab247a287962044981fe0",
+        "2d8d520ff5c58b7ed0d2e53bd7245833383306ac6909f0f4fae32cb864043b37",
+        "f4d8275737ba1747df74368fe7025804b4d87f5cf9e618fa0dc30b68f65abb3d",
+        "36bd27eb6bfb060a5096bbf37217a70f0e9ab37c290862ba51eeb8951a59a949",
+    ),
+    ("dip", "mcf", 16, 4): (
+        "e71240107d52752318bcde865d466e8271116f8a86168660b8d785cbbc78ec8b",
+        "fb0cc47e93056dc71d580b41e6b2bee2cebd6c1d58be6697a737196efa3e4cca",
+        "34015f3a3ba538820ce6cf355671b8f1fe26588a9a94360964d8c1894edd5664",
+        "b84f7e8b0731aa807161dc9a9dbb7fff845cfb1d78d521e9ae0a3d100c91ac4a",
+        "7ece832abadb1ee7e739b8f4a8c2eeb6daa4744f472706077cc371d525f259fe",
+    ),
+    ("dip", "mcf", 64, 16): (
+        "bc5a90a80ea1e1b5fee9ae8dcb60f6d34a04f1e37a913d9bef79ddc9e459fc6a",
+        "18a8e9eeb264f14ce4589b5a2914a5c6efbde21fb9908d6028b7181a77884012",
+        "f32fabf7cfdd536a0bc22e187ab1a078d9d6a50e761a386ab00f31381774a19f",
+        "1b91aac2501f1b5dc8228dd5b2b19ebdddb4e8f77be84a3a8dd50820ad02102d",
+        "00a2f85a00bd6aede06bd67f7d9bd2d529fa9a4c0eb096d6018a8151f3be1057",
+    ),
+    ("dip", "omnetpp", 16, 4): (
+        "6f6975d0e37cc2bfb88779ac223bfa753de42c3ab81b5657aae51d106f22f918",
+        "1758acfbf063aa2551c5ecd3f6f116ce9e488aa55ae2bbcc695e19598455b699",
+        "e24c76f17eeec6d1554e4a0f0dadc6b46543a3a872ed17a8d9e3c99319196190",
+        "227e7c664ab24a80883753bb31db6a23724da9adebbc0c4a729a0cabc1810bf3",
+        "fc86f47e4cb79f8dba7a0df4870573c6d9720885dbe03ce0f656b58d8980e2e1",
+    ),
+    ("dip", "omnetpp", 64, 16): (
+        "4698b6fca36ce3a077e16359615632c3f7cc9381fd1193dcac7049b49f493277",
+        "8ba9ab72b01e5ec384dac5690919ec660abaa76242d9db5bc32973b44b616673",
+        "21c321ef8bb4d5be8749c8b10cf37b50f7ae3d6874462c3e40148fa95d47d4ad",
+        "785ceae0196f93951ef381cccf698840b00e0d76d8d273f96438f8eb3a604c66",
+        "bc3a6832009c2c4ab17ac1814d8a5eb35406d454dca5b754f2f20a6498012b3b",
+    ),
 }
 
 #: The CLI's default fault plan (``repro faults``).
@@ -330,6 +393,21 @@ FAULT_DIGESTS = {
         "b660c568e8370111946633b28f66e5ee9c8f8c990efd69e75f4b5ddeaae808ea",
     "stem":
         "cf76aa67530f4a908d3baeae85aab2925d2acef25163136e3ba14dbf63acc94d",
+}
+
+#: Twenty glitched giver-heap slots: ``force_entry`` grows the heap past
+#: its capacity, so later offers and pops see more entries than it holds.
+HEAP_FAULT_PLAN = "heap:20"
+HEAP_FAULT_SEED = 3
+HEAP_FAULT_SCALE = ExperimentScale(num_sets=64, associativity=16,
+                                   trace_length=20_000)
+
+#: Scheme -> sha256 of its heap-glitch campaign report on omnetpp.
+HEAP_FAULT_DIGESTS = {
+    "sbc":
+        "1862fd522fa3a8e7804d36005d4b632979f5eccfa628d5c62daec5b364d83d43",
+    "stem":
+        "77ff7de297196a6f82dc9b85bade3635c2d13c3f4064a8d2482fb1a4ea12279e",
 }
 
 
@@ -375,7 +453,29 @@ def _vway_state(cache, sets):
     }
 
 
-SCHEME_STATE = {"stem": _stem_state, "sbc": _sbc_state, "vway": _vway_state}
+def _pelifo_state(cache, sets):
+    policy = cache.policy
+    return {
+        "fill_stacks": [policy._fill_stack[s] for s in sets],
+        "recency": [policy._recency[s] for s in sets],
+        "depth_hits": policy._depth_hits,
+        "mode_misses": policy._mode_misses,
+        "mode_accesses": policy._mode_accesses,
+        "epoch": policy._events,
+        "best_mode": policy.current_best_mode(),
+    }
+
+
+def _dip_state(cache, sets):
+    policy = cache.policy
+    return {
+        "recency": [policy.recency_order(s) for s in sets],
+        "psel": policy.psel.value,
+    }
+
+
+SCHEME_STATE = {"stem": _stem_state, "sbc": _sbc_state, "vway": _vway_state,
+                "pelifo": _pelifo_state, "dip": _dip_state}
 
 
 def case_digests(case, benchmark, sets, ways):
@@ -423,3 +523,10 @@ def test_fault_campaign_bytes(scheme):
     report = run_fault_campaign(scheme, "omnetpp", plan=FAULT_PLAN,
                                 seed=SEED, scale=FAULT_SCALE)
     assert _sha256(report.as_dict()) == FAULT_DIGESTS[scheme]
+
+
+@pytest.mark.parametrize("scheme", sorted(HEAP_FAULT_DIGESTS))
+def test_heap_fault_campaign_bytes(scheme):
+    report = run_fault_campaign(scheme, "omnetpp", plan=HEAP_FAULT_PLAN,
+                                seed=HEAP_FAULT_SEED, scale=HEAP_FAULT_SCALE)
+    assert _sha256(report.as_dict()) == HEAP_FAULT_DIGESTS[scheme]
