@@ -276,7 +276,7 @@ class SetAssociativeCache:
         stats.evictions += evictions
         stats.writebacks += writebacks
         if traced and evictions:
-            tracer.skip(evictions)
+            tracer.unread += evictions
 
     def _pelifo_batch(
         self,
@@ -408,7 +408,7 @@ class SetAssociativeCache:
                     dirty=dirty,
                 ))
             else:
-                tracer.skip()
+                tracer.unread += 1
         if self.eviction_listener is not None:
             block_address = self.mapper.compose(old_tag, set_index)
             self.eviction_listener(block_address, dirty)

@@ -241,7 +241,7 @@ class StemCache:
                         signature=signature,
                     ))
                 else:
-                    tracer.skip()
+                    tracer.unread += 1
         lookup = self._lookup[set_index]
         way_keys = self._way_key[set_index]
         dirty_row = self._dirty[set_index]
@@ -267,7 +267,7 @@ class StemCache:
                         cooperative=bool(key & 1),
                     ))
                 else:
-                    tracer.skip()
+                    tracer.unread += 1
             dirty_row[way] = False
             del order[0]
             stats.evictions += 1
@@ -473,7 +473,7 @@ class StemCache:
                     tag=tag,
                 ))
             else:
-                tracer.skip()
+                tracer.unread += 1
 
     def _drop_cooperative(self, giver: int, victim_tag: int, dirty: bool) -> None:
         """A giver evicted one of its taker's blocks off-chip."""
@@ -583,7 +583,7 @@ class StemCache:
                     cooperative=bool(key & 1),
                 ))
             else:
-                tracer.skip()
+                tracer.unread += 1
         self._dirty[set_index][way] = False
         self._order[set_index].remove(way)
         self.stats.evictions += 1

@@ -31,7 +31,7 @@ All events share three fields:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Dict, Type
 
 from repro.common.errors import ConfigError
@@ -203,6 +203,41 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         SafeModeEntry,
     )
 }
+
+
+def _slot_init(cls: Type[TraceEvent]) -> None:
+    """Give the frozen event type ``cls`` a cheaper ``__init__``.
+
+    A frozen dataclass's generated ``__init__`` stores each field with
+    ``object.__setattr__``, which looks the field up on the type every
+    time.  This one keeps the signature and defaults but calls each
+    slot's member descriptor directly.  Equality, hashing, ``repr``,
+    immutability and ``as_dict`` stay the dataclass's own.
+    """
+    specs = fields(cls)
+    names = [spec.name for spec in specs]
+    setters = [f"_set_{name}" for name in names]
+    source = (
+        f"def build({', '.join(setters)}):\n"
+        f"    def __init__(self, {', '.join(names)}):\n"
+        + "".join(
+            f"        {setter}(self, {name})\n"
+            for setter, name in zip(setters, names)
+        )
+        + "    return __init__\n"
+    )
+    namespace: Dict[str, Any] = {}
+    exec(source, namespace)
+    init = namespace["build"](*(getattr(cls, name).__set__ for name in names))
+    init.__defaults__ = tuple(
+        spec.default for spec in specs if spec.default is not MISSING
+    )
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+
+
+for _event_type in EVENT_TYPES.values():
+    _slot_init(_event_type)
 
 
 #: Kinds whose every event is a capacity-flow event.  Together with the

@@ -36,6 +36,7 @@ byte-stable across repeated runs and across serial/parallel execution.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -253,6 +254,11 @@ class RunLedger:
             raise ConfigError(f"malformed ledger payload: {exc}") from exc
 
 
+def _new_flow() -> Dict[str, int]:
+    return {"lent": 0, "borrowed": 0,
+            "spills_out": 0, "spills_in": 0, "coop_hits": 0}
+
+
 class LedgerSink:
     """Streaming tracer sink that aggregates the stream into a ledger.
 
@@ -272,9 +278,12 @@ class LedgerSink:
 
     The ledger reads only capacity-flow events
     (:func:`~repro.obs.events.is_capacity_flow`).  A tracer with no sink
-    that reads every event counts the others through :meth:`skip`
-    without building them, so :attr:`events_seen` is the same either
-    way.
+    that reads every event counts the others without building them and
+    hands the count to :meth:`skip` when it is flushed, so
+    :attr:`events_seen` is the same either way once the tracer has been
+    flushed.  :func:`~repro.sim.simulator.run_trace` flushes before it
+    seals; a caller that drives a cache and seals by hand calls
+    :meth:`~repro.obs.tracer.Tracer.flush` first.
     """
 
     reads_every_event = False
@@ -297,7 +306,8 @@ class LedgerSink:
         # Swap records in arrival order; windows resolved at seal.
         self._swaps: List[SwapEpisode] = []
         self.swaps_dropped = 0
-        self._flows: Dict[int, Dict[str, int]] = {}
+        # set index -> account, created on the set's first flow.
+        self._flows: Dict[int, Dict[str, int]] = defaultdict(_new_flow)
         # lent integrates incrementally as giver-side clock advances;
         # borrowed is credited from episode totals at close.  The two
         # must agree at seal — a genuine cross-check of the episode
@@ -317,16 +327,6 @@ class LedgerSink:
     # Stream side
     # ------------------------------------------------------------------
 
-    def _flow(self, set_index: int) -> Dict[str, int]:
-        flow = self._flows.get(set_index)
-        if flow is None:
-            flow = {
-                "lent": 0, "borrowed": 0,
-                "spills_out": 0, "spills_in": 0, "coop_hits": 0,
-            }
-            self._flows[set_index] = flow
-        return flow
-
     def _advance(self, episode: CouplingEpisode, clock: int) -> None:
         """Integrate the episode's resident population up to ``clock``."""
         giver = episode.giver
@@ -335,7 +335,7 @@ class LedgerSink:
             delta = (clock - last) * self._resident[giver]
             episode.area += delta
             self._lent_total += delta
-            self._flow(giver)["lent"] += delta
+            self._flows[giver]["lent"] += delta
             self._last_clock[giver] = clock
 
     def _open(self, taker: int, giver: int, clock: int) -> None:
@@ -367,14 +367,14 @@ class LedgerSink:
         self._open_by_taker.pop(episode.taker, None)
         self._open_by_giver.pop(episode.giver, None)
         self._borrowed_total += episode.area
-        self._flow(episode.taker)["borrowed"] += episode.area
+        self._flows[episode.taker]["borrowed"] += episode.area
         if len(self._closed) < self.episode_cap:
             self._closed.append(episode)
         else:
             self.episodes_dropped += 1
 
     def skip(self, count: int) -> None:
-        """Count ``count`` events the tracer did not build."""
+        """Count ``count`` events the tracer counted without building."""
         if self._sealed:
             raise ConfigError("LedgerSink is sealed")
         self.events_seen += count
@@ -384,8 +384,47 @@ class LedgerSink:
         if self._sealed:
             raise ConfigError("LedgerSink is sealed")
         self.events_seen += 1
+        # Spills, cooperative evictions and cooperative hits are nearly
+        # every event the ledger reads, so they are tested first and
+        # read the clock inline (``event_clock``).
         kind = event.kind
-        if kind == "coupling":
+        if kind == "spill":
+            self._spill_events += 1
+            taker = event.set_index
+            giver = event.giver
+            episode = self._open_by_taker.get(taker)
+            if episode is not None and episode.giver == giver:
+                self._advance(episode, event.global_access or event.access)
+                episode.spills += 1
+                self._resident[giver] += 1
+                self._flows[taker]["spills_out"] += 1
+                self._flows[giver]["spills_in"] += 1
+            else:
+                self._orphan_spills += 1
+        elif kind == "eviction":
+            # Only cooperative evictions touch the account: a giver
+            # dropping a block it cached on its taker's behalf.
+            if event.cooperative:
+                giver = event.set_index
+                episode = self._open_by_giver.get(giver)
+                if episode is not None:
+                    self._advance(episode, event.global_access or event.access)
+                    if self._resident[giver] > 0:
+                        self._resident[giver] -= 1
+                    else:
+                        self._orphan_evictions += 1
+                else:
+                    self._orphan_evictions += 1
+        elif kind == "coop_hit":
+            self._coop_hit_events += 1
+            episode = self._open_by_taker.get(event.set_index)
+            if episode is not None and episode.giver == event.giver:
+                self._advance(episode, event.global_access or event.access)
+                episode.coop_hits += 1
+                self._flows[event.set_index]["coop_hits"] += 1
+            else:
+                self._orphan_coop_hits += 1
+        elif kind == "coupling":
             self._coupling_events += 1
             self._open(event.set_index, event.giver, event_clock(event))
         elif kind == "decoupling":
@@ -395,39 +434,6 @@ class LedgerSink:
                 self._close(episode, event_clock(event), event.reason)
             else:
                 self._orphan_decouplings += 1
-        elif kind == "spill":
-            self._spill_events += 1
-            episode = self._open_by_taker.get(event.set_index)
-            if episode is not None and episode.giver == event.giver:
-                self._advance(episode, event_clock(event))
-                episode.spills += 1
-                self._resident[event.giver] += 1
-                self._flow(event.set_index)["spills_out"] += 1
-                self._flow(event.giver)["spills_in"] += 1
-            else:
-                self._orphan_spills += 1
-        elif kind == "eviction":
-            # Only cooperative evictions touch the account: a giver
-            # dropping a block it cached on its taker's behalf.
-            if event.cooperative:
-                episode = self._open_by_giver.get(event.set_index)
-                if episode is not None:
-                    self._advance(episode, event_clock(event))
-                    if self._resident[event.set_index] > 0:
-                        self._resident[event.set_index] -= 1
-                    else:
-                        self._orphan_evictions += 1
-                else:
-                    self._orphan_evictions += 1
-        elif kind == "coop_hit":
-            self._coop_hit_events += 1
-            episode = self._open_by_taker.get(event.set_index)
-            if episode is not None and episode.giver == event.giver:
-                self._advance(episode, event_clock(event))
-                episode.coop_hits += 1
-                self._flow(event.set_index)["coop_hits"] += 1
-            else:
-                self._orphan_coop_hits += 1
         elif kind == "policy_swap":
             if len(self._swaps) < self.episode_cap:
                 self._swaps.append(SwapEpisode(
@@ -554,7 +560,7 @@ class LedgerSink:
         return RunLedger(
             coupling_episodes=episodes,
             swap_episodes=swaps,
-            flows=self._flows,
+            flows=dict(self._flows),
             totals=totals,
             counters=counters,
             final_accesses=final_accesses,

@@ -18,14 +18,21 @@ capacity-flow ledger does: it then reads only the capacity-flow events
 (:data:`~repro.obs.events.CAPACITY_FLOW_KINDS` and cooperative
 evictions).  :attr:`Tracer.full` says whether any sink reads every
 event.  Without one, the frequent tracepoints outside the capacity flow
-(plain evictions, shadow hits, spill rejects) call :meth:`Tracer.skip`
-instead of building their event, so the counts stay exact::
+(plain evictions, shadow hits, spill rejects) add one to
+:attr:`Tracer.unread` instead of building their event, so the counts
+stay exact::
 
     if tracer.enabled:
         if tracer.full:
             tracer.emit(ShadowHit(...))
         else:
-            tracer.skip()
+            tracer.unread += 1
+
+:meth:`Tracer.flush` hands the pending count to every sink's
+``skip(count)`` in one call.  The simulator flushes at the end of each
+run, before it seals a ledger; :meth:`Tracer.close` and
+:meth:`Tracer.add_sink` flush first, so a sink never receives counts
+from before it joined.
 
 Only a full sink sends a batch path back to the scalar loop, and only
 where an event would otherwise see counters the loop has not flushed
@@ -56,22 +63,36 @@ class TraceSink(Protocol):
 class Tracer:
     """Fan-out event bus; enabled iff it has at least one sink.
 
-    ``full`` is true iff some sink reads every event.
-    ``events_emitted`` counts built and skipped events alike.
+    ``full`` is true iff some sink reads every event.  ``unread``
+    counts the events tracepoints counted without building since the
+    last :meth:`flush`; only a tracer that is enabled and not full
+    accumulates it.  ``events_emitted`` counts built and counted events
+    alike, flushed or not.
     """
 
-    __slots__ = ("enabled", "full", "events_emitted", "_sinks")
+    __slots__ = ("enabled", "full", "unread", "_delivered", "_sinks")
 
     def __init__(self, *sinks: TraceSink) -> None:
         self._sinks: List[TraceSink] = []
         self.enabled: bool = False
         self.full: bool = False
-        self.events_emitted: int = 0
+        self.unread: int = 0
+        # Built events plus flushed unread ones.
+        self._delivered: int = 0
         for sink in sinks:
             self.add_sink(sink)
 
+    @property
+    def events_emitted(self) -> int:
+        """Every event built or counted so far, pending ones included."""
+        return self._delivered + self.unread
+
     def add_sink(self, sink: TraceSink) -> None:
-        """Attach another sink; enables the tracer."""
+        """Attach another sink; enables the tracer.
+
+        Pending unread events go to the sinks already attached first.
+        """
+        self.flush()
         self._sinks.append(sink)
         self.enabled = True
         if getattr(sink, "reads_every_event", True):
@@ -81,22 +102,26 @@ class Tracer:
         """Deliver ``event`` to every sink (no-op without sinks)."""
         if not self._sinks:
             return
-        self.events_emitted += 1
+        self._delivered += 1
         for sink in self._sinks:
             sink.record(event)
 
-    def skip(self, count: int = 1) -> None:
-        """Count ``count`` events no sink reads, without building them.
+    def flush(self) -> None:
+        """Pass the pending :attr:`unread` count to every sink's ``skip``.
 
-        Tracepoints call this only when :attr:`full` is false, so every
+        Only a tracer that is not full counts unread events, so every
         sink attached accepts ``skip``.
         """
-        self.events_emitted += count
-        for sink in self._sinks:
-            sink.skip(count)
+        count = self.unread
+        if count:
+            self.unread = 0
+            self._delivered += count
+            for sink in self._sinks:
+                sink.skip(count)
 
     def close(self) -> None:
-        """Close every sink that supports closing (e.g. JSONL files)."""
+        """Flush, then close every sink that supports closing."""
+        self.flush()
         for sink in self._sinks:
             closer = getattr(sink, "close", None)
             if closer is not None:

@@ -47,6 +47,10 @@ class DipPolicy(RecencyPolicy):
             raise ConfigError(
                 f"leaders_per_policy must be positive, got {leaders_per_policy}"
             )
+        if throttle_bits < 0:
+            raise ConfigError(
+                f"throttle_bits must be >= 0, got {throttle_bits}"
+            )
         self.leaders_per_policy = leaders_per_policy
         self.psel = PolicySelector(bits=psel_bits)
         self.throttle_bits = throttle_bits

@@ -41,6 +41,10 @@ class DrripPolicy(ReplacementPolicy):
             raise ConfigError(
                 f"leaders_per_policy must be positive, got {leaders_per_policy}"
             )
+        if throttle_bits < 0:
+            raise ConfigError(
+                f"throttle_bits must be >= 0, got {throttle_bits}"
+            )
         self.rrpv_bits = rrpv_bits
         self.max_rrpv = (1 << rrpv_bits) - 1
         self.leaders_per_policy = leaders_per_policy

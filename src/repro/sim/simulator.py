@@ -171,18 +171,27 @@ def _attach_ledger_sink(cache, sink: LedgerSink) -> None:
     Walks wrapper chains (e.g. the fault injector's
     :class:`~repro.resilience.faults.InjectingCache`, which delegates
     attribute *reads* but would swallow writes) to the object that
-    actually owns the ``tracer`` attribute.  A disabled tracer is the
-    shared :data:`~repro.obs.tracer.NULL_TRACER`, which must never be
-    mutated — it is replaced with a fresh enabled tracer; an
-    already-enabled tracer simply gains the sink.
+    actually owns the ``tracer`` attribute.  ``object.__getattribute__``
+    finds the owner without a wrapper's ``__getattr__`` delegation and
+    without reading ``__dict__``: on CPython 3.11+ that read would turn
+    the scheme's inline attribute values into a dict and slow every
+    attribute load in its access path for the rest of its life
+    (DESIGN.md §9).  A disabled tracer is the shared
+    :data:`~repro.obs.tracer.NULL_TRACER`, which must never be mutated
+    — it is replaced with a fresh enabled tracer; an already-enabled
+    tracer simply gains the sink.
     """
     target = cache
-    while "tracer" not in getattr(target, "__dict__", {}):
-        inner = getattr(target, "_cache", None)
-        if inner is None:
+    tracer = None
+    while True:
+        try:
+            tracer = object.__getattribute__(target, "tracer")
             break
-        target = inner
-    tracer = getattr(target, "tracer", None)
+        except AttributeError:
+            try:
+                target = object.__getattribute__(target, "_cache")
+            except AttributeError:
+                break
     if tracer is None:
         raise ConfigError(
             f"scheme {type(cache).__name__} does not support tracing, "
@@ -254,9 +263,11 @@ def run_trace(
     conservation verified at close.  The ledger reads only
     capacity-flow events, so the other tracepoints count their events
     without building them and ``access_batch`` stays on (DESIGN.md
-    §14).  Ledgered runs stay deterministic and byte-identical across
-    serial and parallel execution.  The default ``False`` touches
-    nothing and costs nothing.
+    §14); the count reaches the ledger in one flush of the tracer,
+    after the measured phase and before the seal.  Ledgered runs stay
+    deterministic and byte-identical across serial and parallel
+    execution.  The default ``False`` touches nothing and costs
+    nothing.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(
@@ -310,6 +321,10 @@ def run_trace(
     measured_seconds = perf_counter() - phase_start
     if telemetry is not None:
         telemetry.phase_end("measured", total)
+    # Events counted without being built reach the sinks in one call.
+    tracer = getattr(cache, "tracer", None)
+    if tracer is not None and tracer.unread:
+        tracer.flush()
     measured = total - warm
     instructions = max(
         1, round(trace.metadata.instructions * measured / total)

@@ -252,7 +252,7 @@ class SbcCache:
                         cooperative=bool(key & 1),
                     ))
                 else:
-                    tracer.skip()
+                    tracer.unread += 1
             dirty_row[way] = False
             del order[0]
             stats.evictions += 1
@@ -357,7 +357,7 @@ class SbcCache:
                     cooperative=bool(key & 1),
                 ))
             else:
-                tracer.skip()
+                tracer.unread += 1
         self._dirty[set_index][way] = False
         self._order[set_index].remove(way)
         self.stats.evictions += 1

@@ -205,7 +205,7 @@ class StaticSbcCache:
                     cooperative=bool(key & 1),
                 ))
             else:
-                tracer.skip()
+                tracer.unread += 1
         self._dirty[set_index][way] = False
         self._order[set_index].remove(way)
         self.stats.evictions += 1

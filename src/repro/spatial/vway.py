@@ -219,7 +219,7 @@ class VwayCache:
                     dirty=dirty,
                 ))
             else:
-                tracer.skip()
+                tracer.unread += 1
 
     def _allocate_line(self) -> int:
         """Hand out a data line, running reuse replacement if needed."""

@@ -35,6 +35,16 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             DrripPolicy(leaders_per_policy=0)
 
+    @pytest.mark.parametrize("bits", [-1, -3])
+    def test_rejects_negative_throttle(self, bits):
+        # As for BIP and DIP: a negative width would make every BRRIP
+        # fill take SRRIP's insertion.
+        with pytest.raises(ConfigError, match="throttle_bits"):
+            DrripPolicy(throttle_bits=bits)
+
+    def test_zero_throttle_is_accepted(self):
+        assert DrripPolicy(throttle_bits=0).throttle_bits == 0
+
     def test_leader_roles_assigned(self):
         policy = DrripPolicy()
         policy.attach(num_sets=256, associativity=8, rng=Lfsr())

@@ -19,7 +19,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cli import main
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.core.config import StemConfig
-from repro.obs import RingBufferSink, Tracer
+from repro.obs import NULL_TRACER, RingBufferSink, Tracer
 from repro.obs.events import (
     CoopHit,
     Coupling,
@@ -41,6 +41,7 @@ from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
 from repro.sim.cache import load_run, save_run
 from repro.sim.config import PAPER_SCHEMES, ExperimentScale, make_scheme
 from repro.sim.runner import run_matrix
+import repro.sim.simulator as simulator
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
 
@@ -326,6 +327,164 @@ class TestCapacityFlowSinks:
         sink.seal(final_accesses=0, final_hits=0)
         with pytest.raises(ConfigError, match="sealed"):
             sink.skip(1)
+
+
+def _drive(cache, addresses):
+    for address in addresses:
+        cache.access(address)
+
+
+class TestUnreadCount:
+    """Unread events are counted inline and reach sinks at a flush."""
+
+    @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+    def test_emitted_is_built_plus_unread_before_a_flush(self, scheme):
+        trace = make_benchmark_trace("omnetpp", num_sets=64, length=8_000)
+        spy = CapacityFlowSpy()
+        tracer = Tracer(spy)
+        cache = make_scheme(scheme, GEOMETRY, tracer=tracer)
+        set_indices, tags = trace.precompute_geometry(cache.mapper)
+        half = len(trace) // 2
+        _drive(cache, trace.addresses[:half])
+        cache.access_batch(trace.addresses, set_indices, tags, None,
+                           half, len(trace))
+        assert tracer.unread > 0
+        assert spy.skipped == 0
+        assert tracer.events_emitted == len(spy.events) + tracer.unread
+
+    def test_flush_and_close_deliver_the_pending_count(self):
+        trace = make_benchmark_trace("mcf", num_sets=64, length=8_000)
+        spy = CapacityFlowSpy()
+        tracer = Tracer(spy)
+        cache = make_scheme("STEM", GEOMETRY, tracer=tracer)
+        half = len(trace) // 2
+        _drive(cache, trace.addresses[:half])
+        pending = tracer.unread
+        emitted = tracer.events_emitted
+        tracer.flush()
+        assert spy.skipped == pending > 0
+        assert tracer.unread == 0
+        assert tracer.events_emitted == emitted
+        tracer.flush()
+        assert spy.skipped == pending
+        _drive(cache, trace.addresses[half:])
+        later = tracer.unread
+        assert later > 0
+        tracer.close()
+        assert spy.skipped == pending + later
+        assert tracer.unread == 0
+        assert len(spy.events) + spy.skipped == tracer.events_emitted
+
+    def test_sink_added_mid_run_gets_no_earlier_counts(self):
+        trace = make_benchmark_trace("mcf", num_sets=64, length=8_000)
+        early, late = CapacityFlowSpy(), CapacityFlowSpy()
+        tracer = Tracer(early)
+        cache = make_scheme("SBC", GEOMETRY, tracer=tracer)
+        half = len(trace) // 2
+        _drive(cache, trace.addresses[:half])
+        before = tracer.unread
+        assert before > 0
+        tracer.add_sink(late)
+        assert early.skipped == before
+        assert late.skipped == 0
+        _drive(cache, trace.addresses[half:])
+        after = tracer.unread
+        tracer.flush()
+        assert late.skipped == after > 0
+        assert early.skipped == before + after
+        assert len(early.events) + early.skipped == tracer.events_emitted
+
+    @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+    def test_full_tracer_never_counts_unread(self, scheme):
+        trace = make_benchmark_trace("omnetpp", num_sets=64, length=8_000)
+        spy = CapacityFlowSpy()
+        tracer = Tracer(spy)
+        cache = make_scheme(scheme, GEOMETRY, tracer=tracer)
+        set_indices, tags = trace.precompute_geometry(cache.mapper)
+        half = len(trace) // 2
+        _drive(cache, trace.addresses[:half])
+        built_before = len(spy.events)
+        ring = RingBufferSink()
+        tracer.add_sink(ring)
+        assert tracer.full and tracer.unread == 0
+        cache.access_batch(trace.addresses, set_indices, tags, None,
+                           half, len(trace))
+        assert tracer.unread == 0
+        # From the join on, every event is built and both sinks get it.
+        assert ring.events and spy.events[built_before:] == ring.events
+        assert tracer.events_emitted == len(spy.events) + spy.skipped
+
+    def test_null_tracer_is_never_mutated(self):
+        trace = make_benchmark_trace("vpr", num_sets=64, length=8_000)
+        for scheme in PAPER_SCHEMES:
+            run_trace(make_scheme(scheme, GEOMETRY), trace)
+        NULL_TRACER.flush()
+        assert NULL_TRACER.unread == 0
+        assert NULL_TRACER.events_emitted == 0
+        assert not NULL_TRACER.enabled and not NULL_TRACER.full
+
+    def test_one_way_to_count(self):
+        assert not hasattr(Tracer(), "skip")
+
+
+class TestAttach:
+    """Attaching a ledger reads no ``__dict__`` of the scheme.
+
+    On CPython 3.11+ reading an instance's ``__dict__`` replaces its
+    inline attribute values with a dict for good, which slows every
+    attribute load in the access path.  The manifest's ``vars(cache)``
+    after the measured phase is allowed.
+    """
+
+    @staticmethod
+    def _watched(scheme, monkeypatch):
+        reads = []
+        watching = [True]
+        cache = make_scheme(scheme, GEOMETRY, seed=11)
+
+        class Watched(type(cache)):
+            def __getattribute__(self, name):
+                if name == "__dict__" and watching[0]:
+                    reads.append(name)
+                return super().__getattribute__(name)
+
+        build = simulator.build_manifest
+
+        def build_after_measuring(*args, **kwargs):
+            watching[0] = False
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "build_manifest",
+                            build_after_measuring)
+        cache.__class__ = Watched
+        return cache, reads
+
+    @pytest.mark.parametrize("scheme", ["STEM", "SBC", "V-Way", "LRU"])
+    def test_attach_reads_no_dict(self, scheme, monkeypatch):
+        cache, reads = self._watched(scheme, monkeypatch)
+        trace = make_benchmark_trace("mcf", num_sets=64, length=4_000)
+        result = run_trace(cache, trace, warmup_fraction=0.0, ledger=True)
+        assert reads == []
+        tracer = cache.tracer
+        assert tracer is not NULL_TRACER
+        assert tracer.enabled and not tracer.full
+        assert result.ledger.events_seen == tracer.events_emitted > 0
+
+    def test_attach_through_injecting_cache_reads_no_dict(
+        self, monkeypatch
+    ):
+        cache, reads = self._watched("STEM", monkeypatch)
+        trace = make_benchmark_trace("mcf", num_sets=64, length=4_000)
+        injector = FaultInjector(FaultPlan.parse("sc_s:2"), len(trace),
+                                 seed=11)
+        wrapper = InjectingCache(cache, injector)
+        result = run_trace(wrapper, trace, warmup_fraction=0.0, ledger=True)
+        assert reads == []
+        # The sink landed on the inner cache's tracer, not the wrapper.
+        assert "tracer" not in vars(wrapper)
+        tracer = cache.tracer
+        assert tracer is not NULL_TRACER and tracer.enabled
+        assert result.ledger.events_seen == tracer.events_emitted > 0
 
 
 class TestConservation:

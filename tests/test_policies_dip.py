@@ -43,6 +43,16 @@ class TestLeaderLayout:
         with pytest.raises(ConfigError):
             DipPolicy(psel_bits=bits)
 
+    @pytest.mark.parametrize("bits", [-1, -3])
+    def test_rejects_negative_throttle(self, bits):
+        # Lfsr.one_in(power <= 0) is always True, so a negative width
+        # would put every BIP-mode fill at MRU, as under LRU.
+        with pytest.raises(ConfigError, match="throttle_bits"):
+            DipPolicy(throttle_bits=bits)
+
+    def test_zero_throttle_is_accepted(self):
+        assert DipPolicy(throttle_bits=0).throttle_bits == 0
+
 
 class TestDueling:
     def test_psel_moves_on_leader_misses_only(self):
