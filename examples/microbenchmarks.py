@@ -12,7 +12,7 @@ Run:  python examples/microbenchmarks.py
 from __future__ import annotations
 
 from repro.cache.geometry import CacheGeometry
-from repro.sim import make_scheme, run_timeline, run_trace
+from repro.sim import make_scheme, run_trace
 from repro.workloads.patterns import (
     hot_cold,
     pointer_chase,
@@ -65,12 +65,13 @@ def main() -> None:
     print("\nSTEM per-window miss rate on the strided walk "
           "(watch the swap/coupling machinery engage):")
     cache = make_scheme("STEM", GEOMETRY)
-    timeline = run_timeline(
-        cache, patterns["strided (1 set)"], window_length=2000
-    )
-    for window, rate in enumerate(timeline.series["miss_rate"]):
-        swaps = timeline.series["policy_swaps"][window]
-        spills = timeline.series["spills"][window]
+    series = run_trace(
+        cache, patterns["strided (1 set)"], warmup_fraction=0.0,
+        metrics_window=2000,
+    ).series.series
+    for window, rate in enumerate(series["miss_rate"]):
+        swaps = series["policy_swaps"][window]
+        spills = series["spills"][window]
         bar = "#" * round(rate * 40)
         print(f"  window {window:2d}: {rate:5.2f} {bar}"
               f"   (+{swaps:.0f} swaps, +{spills:.0f} spills)")

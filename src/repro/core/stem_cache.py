@@ -24,12 +24,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cache.access import AccessKind
-from repro.cache.block import BlockView, ShadowView
+from repro.cache.block import ShadowView
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError, InvariantViolation, SimulationError
 from repro.common.hashing import H3Hash
 from repro.common.rng import Lfsr
-from repro.common.stats import CacheStats
 from repro.core.config import StemConfig
 from repro.core.scdm import SetMonitor
 from repro.obs.events import (
@@ -43,8 +42,9 @@ from repro.obs.events import (
     Spill,
     SpillReject,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.spatial.association import AssociationTable
+from repro.spatial.cooperative import CooperativeSets
 from repro.spatial.heap import GiverHeap
 
 _MODE_LRU = 0
@@ -62,7 +62,7 @@ _GIVER = 2
 _RECOVERABLE = (SimulationError, IndexError, KeyError, ValueError, TypeError)
 
 
-class StemCache:
+class StemCache(CooperativeSets):
     """SpatioTEmporally Managed last level cache."""
 
     name = "STEM"
@@ -76,15 +76,8 @@ class StemCache:
     ) -> None:
         if geometry.num_sets < 2:
             raise ConfigError("STEM needs at least two sets to couple")
-        self.geometry = geometry
-        self.mapper = geometry.mapper
+        super().__init__(geometry, rng, tracer)
         self.config = config if config is not None else StemConfig()
-        self.rng = rng if rng is not None else Lfsr()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.stats = CacheStats()
-        # Lifetime accesses folded in by reset_stats(); underscore-
-        # prefixed so the manifest's scheme-config hash ignores it.
-        self._access_base = 0
         self._hash = H3Hash(
             in_bits=geometry.tag_bits,
             out_bits=self.config.shadow_tag_bits,
@@ -92,18 +85,6 @@ class StemCache:
         )
         num_sets = geometry.num_sets
         assoc = geometry.associativity
-        # Block state: key = (tag << 1) | cc_bit  ->  way.
-        self._lookup: List[dict] = [{} for _ in range(num_sets)]
-        self._way_key: List[List[Optional[int]]] = [
-            [None] * assoc for _ in range(num_sets)
-        ]
-        self._dirty: List[List[bool]] = [
-            [False] * assoc for _ in range(num_sets)
-        ]
-        self._free: List[List[int]] = [
-            list(range(assoc - 1, -1, -1)) for _ in range(num_sets)
-        ]
-        self._order: List[List[int]] = [[] for _ in range(num_sets)]
         # Temporal state: per-set policy mode, starting from LRU.
         self._mode: List[int] = [_MODE_LRU] * num_sets
         # The SCDM.
@@ -119,7 +100,6 @@ class StemCache:
         self.association = AssociationTable(num_sets)
         self.heap = GiverHeap(self.config.heap_capacity)
         self._coupled_role: List[int] = [_UNCOUPLED] * num_sets
-        self._cc_count: List[int] = [0] * num_sets
         # SC_S/SC_T's saturated value and MSB (taker, swap and giver
         # tests), read against the counters' raw values on the miss path.
         self._counter_max = (1 << self.config.counter_bits) - 1
@@ -305,7 +285,9 @@ class StemCache:
                     shadow_mode = self._mode[set_index]
                     if config.invert_shadow_policy:
                         shadow_mode ^= 1
-                    at_mru = shadow_mode == _MODE_LRU or self._throttle_mru()
+                    at_mru = shadow_mode == _MODE_LRU or self.rng.one_in(
+                        config.bip_throttle_bits
+                    )
                     shadow = monitor.shadow
                     members = shadow._members
                     ranks = shadow._order
@@ -322,7 +304,9 @@ class StemCache:
         lookup[key] = way
         way_keys[way] = key
         dirty_row[way] = is_write
-        if self._mode[set_index] == _MODE_LRU or self._throttle_mru():
+        if self._mode[set_index] == _MODE_LRU or self.rng.one_in(
+            config.bip_throttle_bits
+        ):
             order.append(way)
         else:
             order.insert(0, way)
@@ -391,8 +375,8 @@ class StemCache:
         else:
             jump_vals = jump_states = None
         if config.bip_throttle_bits > 0:
-            # Misses decide BIP throttling through next_bits(); having
-            # the table ready makes that a pair of list lookups too.
+            # Misses decide BIP throttling through one_in(); having the
+            # table ready makes that a pair of list lookups too.
             Lfsr.jump_table(config.bip_throttle_bits)
         has_writes = writes is not None
         traced = self.tracer.enabled
@@ -539,7 +523,7 @@ class StemCache:
     def _insert_at_mru(self, set_index: int) -> bool:
         if self._mode[set_index] == _MODE_LRU:
             return True
-        return self._throttle_mru()
+        return self.rng.one_in(self.config.bip_throttle_bits)
 
     def _shadow_insert_at_mru(self, set_index: int) -> bool:
         """Insertion rank in the shadow set (opposite policy, §4.3)."""
@@ -548,45 +532,7 @@ class StemCache:
             shadow_mode ^= 1
         if shadow_mode == _MODE_LRU:
             return True
-        return self._throttle_mru()
-
-    def _throttle_mru(self) -> bool:
-        """BIP's 1-in-2**throttle MRU decision, jump-table accelerated.
-
-        Identical output stream to ``rng.one_in(bits)`` — the table is
-        an exact one-shot encoding of ``bits`` LFSR steps.
-        """
-        bits = self.config.bip_throttle_bits
-        if bits <= 0:
-            return True
-        table = Lfsr._JUMP_TABLES.get(bits)
-        if table is None:
-            return self.rng.one_in(bits)
-        rng = self.rng
-        state = rng._state
-        rng._state = table[1][state]
-        return not table[0][state]
-
-    def _remove(self, set_index: int, way: int) -> None:
-        key = self._way_key[set_index][way]
-        del self._lookup[set_index][key]
-        self._way_key[set_index][way] = None
-        tracer = self.tracer
-        if tracer.enabled:
-            if tracer.full or key & 1:
-                tracer.emit(Eviction(
-                    access=self.stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + self.stats.accesses,
-                    tag=key >> 1,
-                    dirty=self._dirty[set_index][way],
-                    cooperative=bool(key & 1),
-                ))
-            else:
-                tracer.unread += 1
-        self._dirty[set_index][way] = False
-        self._order[set_index].remove(way)
-        self.stats.evictions += 1
+        return self.rng.one_in(self.config.bip_throttle_bits)
 
     def _evict_off_chip(self, set_index: int, victim_tag: int, dirty: bool) -> None:
         """A local block leaves the chip: write back + shadow capture."""
@@ -884,21 +830,6 @@ class StemCache:
         """Coupling role: 'uncoupled', 'taker' or 'giver'."""
         return ("uncoupled", "taker", "giver")[self._coupled_role[set_index]]
 
-    def resident_blocks(self, set_index: int) -> List[BlockView]:
-        """Views of the valid blocks in ``set_index``."""
-        views = []
-        for key, way in sorted(self._lookup[set_index].items()):
-            views.append(
-                BlockView(
-                    set_index=set_index,
-                    way=way,
-                    tag=key >> 1,
-                    dirty=self._dirty[set_index][way],
-                    cooperative=bool(key & 1),
-                )
-            )
-        return views
-
     def shadow_entries(self, set_index: int) -> List[ShadowView]:
         """Views of the valid shadow signatures of ``set_index``."""
         shadow = self.monitors[set_index].shadow
@@ -906,11 +837,6 @@ class StemCache:
             ShadowView(set_index=set_index, way=way, hashed_tag=signature)
             for way, signature in enumerate(shadow.entries())
         ]
-
-    @property
-    def global_accesses(self) -> int:
-        """Lifetime access count; reset_stats() does not rewind it."""
-        return self._access_base + self.stats.accesses
 
     def metrics_gauges(self) -> Dict[str, float]:
         """Instantaneous controller state for the metrics registry.
@@ -969,13 +895,8 @@ class StemCache:
         }
 
     def reset_stats(self) -> None:
-        """Zero statistics (e.g. after warm-up).
-
-        The lifetime clock behind event ``global_access`` stamps keeps
-        running: the zeroed window counters fold into ``_access_base``.
-        """
-        self._access_base += self.stats.accesses
-        self.stats = CacheStats()
+        """Zero statistics and the ledger counters; the clock runs on."""
+        super().reset_stats()
         num_sets = self.geometry.num_sets
         self._led_hits = [0] * num_sets
         self._led_coop = [0] * num_sets

@@ -24,23 +24,20 @@ def run_evaluation(
     scale: Optional[ExperimentScale] = None,
     schemes: Sequence[str] = PAPER_SCHEMES,
     benchmarks: Optional[Sequence[str]] = None,
-    use_cache: bool = True,
 ) -> ResultMatrix:
     """The 15-benchmark x 6-scheme grid behind Figures 7, 8 and 9."""
     scale = scale if scale is not None else ExperimentScale.default()
+    # The whole (frozen) scale is the key: warm-up and the timing model
+    # change every metric the figures read.
     key = (
-        scale.num_sets,
-        scale.associativity,
-        scale.trace_length,
+        scale,
         tuple(schemes),
         tuple(benchmarks) if benchmarks is not None else None,
     )
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
-    matrix = run_benchmarks(schemes, benchmarks=benchmarks, scale=scale)
-    if use_cache:
-        _CACHE[key] = matrix
-    return matrix
+    if key not in _CACHE:
+        _CACHE[key] = run_benchmarks(schemes, benchmarks=benchmarks,
+                                     scale=scale)
+    return _CACHE[key]
 
 
 def clear_cache() -> None:

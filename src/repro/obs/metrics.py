@@ -1,8 +1,7 @@
 """Windowed metrics: counters and gauges sampled on access windows.
 
 The paper's dynamics (Figure 1, §3) are told in fixed-length sampling
-intervals, not end-of-run totals.  :class:`MetricsRegistry` generalises
-``sim/timeline.py`` into a first-class metrics surface: it is driven
+intervals, not end-of-run totals.  :class:`MetricsRegistry` is driven
 *externally* at access-window boundaries and, at each boundary, records
 
 * the per-window delta of every :class:`~repro.common.stats.CacheStats`
@@ -14,18 +13,19 @@ intervals, not end-of-run totals.  :class:`MetricsRegistry` generalises
   ``metrics_gauges()`` method (occupancy fraction, SC_S/SC_T
   saturation, giver-heap depth, coupling population, MSHR and
   write-buffer occupancy, ...);
-* optional **per-set** rows from ``metrics_per_set()`` (the occupancy
-  histogram behind the HTML report's heatmap).
+* **per-set** rows from an optional ``metrics_per_set()`` (the
+  occupancy histogram behind the HTML report's heatmap).
 
 Zero-overhead contract
 ----------------------
 Like :class:`~repro.obs.tracer.Tracer`, metrics cost nothing unless
 asked for: no cache ever calls into this module from its access path.
-Sampling is driven by the harness (``run_trace(...,
-metrics_window=N)`` or :func:`~repro.sim.timeline.run_timeline`), which
-simply stops the simulation loop at window boundaries and calls
-:meth:`MetricsRegistry.sample`.  With ``metrics_window=None`` (the
-default) the hot loop is byte-identical to the uninstrumented path.
+Sampling is driven by the harness, ``run_trace(...,
+metrics_window=N)`` (with ``warmup_fraction=0.0`` the first window
+shows the cold start), which simply stops the simulation loop at
+window boundaries and calls :meth:`MetricsRegistry.sample`.  With
+``metrics_window=None`` (the default) the hot loop is byte-identical
+to the uninstrumented path.
 Because every ``access_batch`` fast path flushes its locally
 accumulated statistics at chunk boundaries — and the harness aligns
 chunks with windows — batch and scalar execution produce identical
@@ -255,15 +255,12 @@ class MetricsRegistry:
     window of a trace may be short).
     """
 
-    def __init__(
-        self, window_length: int = 10_000, include_per_set: bool = True
-    ) -> None:
+    def __init__(self, window_length: int = 10_000) -> None:
         if window_length <= 0:
             raise ConfigError(
                 f"window_length must be positive, got {window_length}"
             )
         self.window_length = window_length
-        self.include_per_set = include_per_set
         self._tracked = counter_field_names()
         self._previous: Dict[str, int] = {name: 0 for name in self._tracked}
         self.window_accesses: List[int] = []
@@ -304,11 +301,10 @@ class MetricsRegistry:
         if gauges is not None:
             for name, value in gauges().items():
                 series.setdefault(name, []).append(value)
-        if self.include_per_set:
-            per_set = getattr(cache, "metrics_per_set", None)
-            if per_set is not None:
-                for name, row in per_set().items():
-                    self.set_series.setdefault(name, []).append(list(row))
+        per_set = getattr(cache, "metrics_per_set", None)
+        if per_set is not None:
+            for name, row in per_set().items():
+                self.set_series.setdefault(name, []).append(list(row))
         self.window_accesses.append(window_accesses)
 
     def to_series(self, scheme: str, trace_name: str) -> MetricsSeries:

@@ -30,9 +30,9 @@ stay exact::
 
 :meth:`Tracer.flush` hands the pending count to every sink's
 ``skip(count)`` in one call.  The simulator flushes at the end of each
-run, before it seals a ledger; :meth:`Tracer.close` and
-:meth:`Tracer.add_sink` flush first, so a sink never receives counts
-from before it joined.
+run, before it seals a ledger; :meth:`Tracer.close`,
+:meth:`Tracer.add_sink` and :meth:`Tracer.remove_sink` flush first, so
+a sink receives exactly the counts from while it was attached.
 
 Only a full sink sends a batch path back to the scalar loop, and only
 where an event would otherwise see counters the loop has not flushed
@@ -97,6 +97,16 @@ class Tracer:
         self.enabled = True
         if getattr(sink, "reads_every_event", True):
             self.full = True
+
+    def remove_sink(self, sink: TraceSink) -> None:
+        """Detach ``sink``; pending unread events reach it first."""
+        self.flush()
+        self._sinks.remove(sink)
+        self.enabled = bool(self._sinks)
+        self.full = any(
+            getattr(other, "reads_every_event", True)
+            for other in self._sinks
+        )
 
     def emit(self, event: TraceEvent) -> None:
         """Deliver ``event`` to every sink (no-op without sinks)."""

@@ -37,7 +37,6 @@ from repro.sim.results import (
 )
 from repro.sim.runner import associativity_sweep, run_benchmarks, run_matrix
 from repro.sim.simulator import RunResult, run_trace
-from repro.sim.timeline import Timeline, run_timeline
 
 __all__ = [
     "CampaignOutcome",
@@ -54,7 +53,6 @@ __all__ = [
     "RunFailure",
     "RunOptions",
     "RunResult",
-    "Timeline",
     "associativity_sweep",
     "build_cells",
     "campaign_status",
@@ -70,6 +68,5 @@ __all__ = [
     "replicate",
     "run_benchmarks",
     "run_matrix",
-    "run_timeline",
     "run_trace",
 ]

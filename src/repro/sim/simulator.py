@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.analysis.metrics import MetricSet, evaluate_run
 from repro.common.errors import ConfigError, WatchdogTimeout
@@ -136,7 +136,7 @@ def _run_span(
 
 
 def make_engine(
-    cache, trace: Trace, writes: Optional[List[bool]]
+    cache, trace: Trace
 ) -> Callable[[int, int, Optional[float], Optional[Callable]], None]:
     """Bind ``trace`` to ``cache``'s access path for one run.
 
@@ -151,6 +151,7 @@ def make_engine(
     ``addresses[start:stop]`` through the cache (see :func:`_run_span`).
     """
     addresses = trace.addresses
+    writes = trace.writes
     access = cache.access
     batch = getattr(cache, "access_batch", None)
     if batch is not None:
@@ -165,8 +166,8 @@ def make_engine(
     return drive
 
 
-def _attach_ledger_sink(cache, sink: LedgerSink) -> None:
-    """Route the cache's event stream into ``sink``.
+def _attach_ledger_sink(cache, sink: LedgerSink) -> Callable[[], None]:
+    """Route the cache's event stream into ``sink``; return ``detach``.
 
     Walks wrapper chains (e.g. the fault injector's
     :class:`~repro.resilience.faults.InjectingCache`, which delegates
@@ -179,7 +180,8 @@ def _attach_ledger_sink(cache, sink: LedgerSink) -> None:
     (DESIGN.md §9).  A disabled tracer is the shared
     :data:`~repro.obs.tracer.NULL_TRACER`, which must never be mutated
     — it is replaced with a fresh enabled tracer; an already-enabled
-    tracer simply gains the sink.
+    tracer simply gains the sink.  ``detach()`` undoes either, so once
+    the ledger is sealed the cache can run again with or without one.
     """
     target = cache
     tracer = None
@@ -199,8 +201,13 @@ def _attach_ledger_sink(cache, sink: LedgerSink) -> None:
         )
     if tracer.enabled:
         tracer.add_sink(sink)
-    else:
-        target.tracer = Tracer(sink)
+        return lambda: tracer.remove_sink(sink)
+    target.tracer = Tracer(sink)
+
+    def detach() -> None:
+        target.tracer = tracer
+
+    return detach
 
 
 def _seal_ledger(cache, sink: LedgerSink) -> RunLedger:
@@ -222,7 +229,6 @@ def run_trace(
     trace: Trace,
     warmup_fraction: float = 0.25,
     machine: Optional[MachineConfig] = None,
-    with_writes: bool = True,
     deadline_seconds: Optional[float] = None,
     metrics_window: Optional[int] = None,
     telemetry=None,
@@ -247,7 +253,7 @@ def run_trace(
     chunk boundaries — where every fast path flushes its locally
     accumulated statistics — so batch and scalar execution produce
     identical series (DESIGN.md §10).  With the default ``None`` the
-    loop below is byte-identical to the uninstrumented path.
+    measured loop is byte-identical to the uninstrumented path.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.CellTelemetry`)
     arms live status reporting: warm-up and measured phase spans plus
@@ -266,8 +272,9 @@ def run_trace(
     §14); the count reaches the ledger in one flush of the tracer,
     after the measured phase and before the seal.  Ledgered runs stay
     deterministic and byte-identical across serial and parallel
-    execution.  The default ``False`` touches nothing and costs
-    nothing.
+    execution.  After the seal, or if the run raises, the sink is
+    detached, leaving the cache's tracer as the run found it.  The
+    default ``False`` touches nothing and costs nothing.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(
@@ -282,13 +289,34 @@ def run_trace(
     if total == 0:
         raise ConfigError(f"trace {trace.name!r} is empty")
     warm = int(total * warmup_fraction)
-    ledger_sink: Optional[LedgerSink] = None
-    if ledger:
-        # Attach before warm-up: warm-up events belong in the episode
-        # record (the monotonic clock spans the whole run).
-        ledger_sink = LedgerSink()
-        _attach_ledger_sink(cache, ledger_sink)
-    drive = make_engine(cache, trace, trace.writes if with_writes else None)
+    if not ledger:
+        return _simulate(cache, trace, warm, machine, deadline_seconds,
+                         metrics_window, telemetry, None)
+    # Attach before warm-up: warm-up events belong in the episode
+    # record (the monotonic clock spans the whole run).  Detach even if
+    # the run raises, so the tracer is left as the run found it.
+    ledger_sink = LedgerSink()
+    detach = _attach_ledger_sink(cache, ledger_sink)
+    try:
+        return _simulate(cache, trace, warm, machine, deadline_seconds,
+                         metrics_window, telemetry, ledger_sink)
+    finally:
+        detach()
+
+
+def _simulate(
+    cache,
+    trace: Trace,
+    warm: int,
+    machine: MachineConfig,
+    deadline_seconds: Optional[float],
+    metrics_window: Optional[int],
+    telemetry,
+    ledger_sink: Optional[LedgerSink],
+) -> RunResult:
+    """Warm up, measure and evaluate one checked :func:`run_trace` call."""
+    total = len(trace.addresses)
+    drive = make_engine(cache, trace)
     beat = telemetry.beat if telemetry is not None else None
     phase_start = perf_counter()
     deadline_at = (

@@ -23,14 +23,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cache.access import AccessKind
-from repro.cache.block import BlockView
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.common.rng import Lfsr
-from repro.common.stats import CacheStats
-from repro.obs.events import CoopHit, Coupling, Decoupling, Eviction, Spill
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.events import CoopHit, Coupling, Decoupling, Eviction
+from repro.obs.tracer import Tracer
 from repro.spatial.association import AssociationTable
+from repro.spatial.cooperative import CooperativeSets
 from repro.spatial.heap import GiverHeap
 
 _ROLE_NONE = 0
@@ -38,7 +37,7 @@ _ROLE_SOURCE = 1
 _ROLE_DEST = 2
 
 
-class SbcCache:
+class SbcCache(CooperativeSets):
     """Dynamic Set Balancing Cache over an LRU substrate."""
 
     name = "SBC"
@@ -52,14 +51,11 @@ class SbcCache:
         rng: Optional[Lfsr] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.geometry = geometry
-        self.mapper = geometry.mapper
-        self.rng = rng if rng is not None else Lfsr()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        assoc = geometry.associativity
         num_sets = geometry.num_sets
         if num_sets < 2:
             raise ConfigError("SBC needs at least two sets to balance")
+        super().__init__(geometry, rng, tracer)
+        assoc = geometry.associativity
         # Saturation counter range and the "low saturation" bar for
         # destination eligibility (half of the maximum, as in the SBC
         # proposal's notion of less-saturated sets).
@@ -73,26 +69,10 @@ class SbcCache:
             if couple_threshold is not None
             else self.saturation_limit // 2
         )
-        self.stats = CacheStats()
-        # Lifetime accesses folded in by reset_stats() (event clock).
-        self._access_base = 0
         self.association = AssociationTable(num_sets)
         self.heap = GiverHeap(heap_capacity)
-        # Per-set block state: key = (tag << 1) | cc_bit  ->  way.
-        self._lookup: List[dict] = [{} for _ in range(num_sets)]
-        self._way_key: List[List[Optional[int]]] = [
-            [None] * assoc for _ in range(num_sets)
-        ]
-        self._dirty: List[List[bool]] = [
-            [False] * assoc for _ in range(num_sets)
-        ]
-        self._free: List[List[int]] = [
-            list(range(assoc - 1, -1, -1)) for _ in range(num_sets)
-        ]
-        self._order: List[List[int]] = [[] for _ in range(num_sets)]
         self._saturation: List[int] = [0] * num_sets
         self._role: List[int] = [_ROLE_NONE] * num_sets
-        self._cc_count: List[int] = [0] * num_sets
         # Ledger attribution counters (tracer-guarded, reset with the
         # stats; underscore-prefixed so the manifest hash ignores them).
         self._led_hits: List[int] = [0] * num_sets
@@ -260,15 +240,16 @@ class SbcCache:
                 # A cooperatively cached block: it belongs to the
                 # coupled source; its loss may dissolve the pair.
                 self._drop_cooperative(set_index, dirty)
-            elif roles[set_index] == _ROLE_SOURCE:
-                self._spill(set_index, key >> 1, dirty)
-            elif (
+            elif roles[set_index] == _ROLE_SOURCE or (
                 roles[set_index] == _ROLE_NONE
                 and saturation >= self.saturation_limit
                 and self.heap  # an empty selector has no destination
                 and self._try_couple(set_index) is not None
             ):
-                self._spill(set_index, key >> 1, dirty)
+                self._spill(
+                    set_index, self.association.partner_of(set_index),
+                    key >> 1, dirty,
+                )
             elif dirty:
                 stats.writebacks += 1
         key = tag << 1
@@ -288,83 +269,17 @@ class SbcCache:
         ):
             self.heap.offer(set_index, saturation)
 
-    def _promote(self, set_index: int, way: int) -> None:
-        order = self._order[set_index]
-        order.remove(way)
-        order.append(way)
-
     # ------------------------------------------------------------------
     # Fill / spill machinery
     # ------------------------------------------------------------------
 
     def _drop_cooperative(self, dest_index: int, dirty: bool) -> None:
-        self._evict_off_chip(dirty)
+        if dirty:
+            self.stats.writebacks += 1
         self._cc_count[dest_index] -= 1
         if self._cc_count[dest_index] == 0:
             source = self.association.partner_of(dest_index)
             self._decouple(source, dest_index)
-
-    def _spill(self, source_index: int, tag: int, dirty: bool) -> None:
-        """Displace a source victim into the destination at MRU."""
-        dest = self.association.partner_of(source_index)
-        self.stats.spills += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(Spill(
-                access=self.stats.accesses,
-                set_index=source_index,
-                global_access=self._access_base + self.stats.accesses,
-                giver=dest,
-                tag=tag,
-                dirty=dirty,
-            ))
-        free = self._free[dest]
-        if free:
-            way = free.pop()
-        else:
-            way = self._order[dest][0]
-            victim_key = self._way_key[dest][way]
-            victim_dirty = self._dirty[dest][way]
-            self._remove(dest, way)
-            self._evict_off_chip(victim_dirty)
-            if victim_key & 1:
-                # Replacing one cooperative block with another keeps the
-                # pair alive: adjust the count without a decouple check
-                # because the insert below restores it.
-                self._cc_count[dest] -= 1
-        self._install(dest, way, (tag << 1) | 1, dirty)
-        self._cc_count[dest] += 1
-
-    def _install(self, set_index: int, way: int, key: int, dirty: bool) -> None:
-        self._lookup[set_index][key] = way
-        self._way_key[set_index][way] = key
-        self._dirty[set_index][way] = dirty
-        self._order[set_index].append(way)  # SBC inserts at MRU.
-
-    def _remove(self, set_index: int, way: int) -> None:
-        key = self._way_key[set_index][way]
-        del self._lookup[set_index][key]
-        self._way_key[set_index][way] = None
-        tracer = self.tracer
-        if tracer.enabled:
-            if tracer.full or key & 1:
-                tracer.emit(Eviction(
-                    access=self.stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + self.stats.accesses,
-                    tag=key >> 1,
-                    dirty=self._dirty[set_index][way],
-                    cooperative=bool(key & 1),
-                ))
-            else:
-                tracer.unread += 1
-        self._dirty[set_index][way] = False
-        self._order[set_index].remove(way)
-        self.stats.evictions += 1
-
-    def _evict_off_chip(self, dirty: bool) -> None:
-        if dirty:
-            self.stats.writebacks += 1
 
     # ------------------------------------------------------------------
     # Coupling management
@@ -436,26 +351,6 @@ class SbcCache:
         """'none', 'source' or 'dest' (for tests and analyses)."""
         return ("none", "source", "dest")[self._role[set_index]]
 
-    def resident_blocks(self, set_index: int) -> List[BlockView]:
-        """Views of the valid blocks in ``set_index``."""
-        views = []
-        for key, way in sorted(self._lookup[set_index].items()):
-            views.append(
-                BlockView(
-                    set_index=set_index,
-                    way=way,
-                    tag=key >> 1,
-                    dirty=self._dirty[set_index][way],
-                    cooperative=bool(key & 1),
-                )
-            )
-        return views
-
-    @property
-    def global_accesses(self) -> int:
-        """Lifetime access count; reset_stats() does not rewind it."""
-        return self._access_base + self.stats.accesses
-
     def ledger_counters(self) -> Dict[str, List[int]]:
         """Per-set attribution counters for the capacity-flow ledger.
 
@@ -470,9 +365,8 @@ class SbcCache:
         }
 
     def reset_stats(self) -> None:
-        """Zero statistics (e.g. after warm-up); the event clock keeps running."""
-        self._access_base += self.stats.accesses
-        self.stats = CacheStats()
+        """Zero statistics and the ledger counters; the clock runs on."""
+        super().reset_stats()
         num_sets = self.geometry.num_sets
         self._led_hits = [0] * num_sets
         self._led_coop = [0] * num_sets

@@ -118,6 +118,12 @@ DIGESTS = {
     ),
 }
 
+#: Event stream digest of static SBC on omnetpp, recorded before SBC,
+#: static SBC and STEM came to share one block store.
+STATIC_SBC_EVENT_DIGEST = (
+    "5231b1f2bbebe66bdf47c99571d0d84024a6cbb44d966316371ae174cfca3faa"
+)
+
 #: STEM on omnetpp with ledger=True and metrics_window=4096.
 WINDOWED_LEDGER_DIGEST = (
     "62b087f0bf9ebd8bbe0808bf6e71dfe2ed82df8067a91822b9449100e9ad2b01"
@@ -170,6 +176,11 @@ def test_ledgered_result_bytes(cell):
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
 def test_event_stream_bytes(cell):
     assert event_stream_digest(*cell) == DIGESTS[cell][1]
+
+
+def test_static_sbc_event_stream_bytes():
+    assert event_stream_digest("StaticSBC", "omnetpp") == \
+        STATIC_SBC_EVENT_DIGEST
 
 
 def test_windowed_ledgered_result_bytes():

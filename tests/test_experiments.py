@@ -1,5 +1,7 @@
 """Tests for the experiment modules (scaled down for speed)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
@@ -14,7 +16,8 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.sim.config import ExperimentScale
+from repro.sim.config import ExperimentScale, MachineConfig
+from repro.timing.latency import LatencyModel
 
 SMOKE = ExperimentScale(num_sets=64, associativity=16, trace_length=40_000)
 
@@ -119,6 +122,22 @@ class TestEvaluationFigures:
             scale=small, schemes=("LRU", "STEM"), benchmarks=("vpr",)
         )
         assert first is second
+
+    def test_memo_keys_on_whole_scale(self):
+        small = ExperimentScale(num_sets=32, trace_length=6000)
+        kwargs = dict(schemes=("LRU",), benchmarks=("vpr",))
+        quarter = evaluation.run_evaluation(scale=small, **kwargs)
+        half = evaluation.run_evaluation(
+            scale=replace(small, warmup_fraction=0.5), **kwargs
+        )
+        assert quarter.get("vpr", "LRU").measured_accesses == 4500
+        assert half.get("vpr", "LRU").measured_accesses == 3000
+        slow_memory = MachineConfig(latency=LatencyModel(memory_cycles=600))
+        slow = evaluation.run_evaluation(
+            scale=replace(small, machine=slow_memory), **kwargs
+        )
+        assert slow is not quarter
+        assert slow.get("vpr", "LRU").amat > quarter.get("vpr", "LRU").amat
 
     def test_figure7_normalized_and_geomean(self):
         small = ExperimentScale(num_sets=32, trace_length=6000)

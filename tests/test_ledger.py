@@ -17,7 +17,11 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cli import main
-from repro.common.errors import ConfigError, InvariantViolation
+from repro.common.errors import (
+    ConfigError,
+    InvariantViolation,
+    WatchdogTimeout,
+)
 from repro.core.config import StemConfig
 from repro.obs import NULL_TRACER, RingBufferSink, Tracer
 from repro.obs.events import (
@@ -38,7 +42,7 @@ from repro.obs.ledger import (
     RunLedger,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
-from repro.sim.cache import load_run, save_run
+from repro.sim.cache import load_run, result_to_dict, save_run
 from repro.sim.config import PAPER_SCHEMES, ExperimentScale, make_scheme
 from repro.sim.runner import run_matrix
 import repro.sim.simulator as simulator
@@ -433,12 +437,14 @@ class TestAttach:
     On CPython 3.11+ reading an instance's ``__dict__`` replaces its
     inline attribute values with a dict for good, which slows every
     attribute load in the access path.  The manifest's ``vars(cache)``
-    after the measured phase is allowed.
+    after the measured phase is allowed.  The tracer the ledger ran on
+    is read there too, because sealing the ledger detaches it.
     """
 
     @staticmethod
     def _watched(scheme, monkeypatch):
         reads = []
+        tracers = []
         watching = [True]
         cache = make_scheme(scheme, GEOMETRY, seed=11)
 
@@ -452,28 +458,30 @@ class TestAttach:
 
         def build_after_measuring(*args, **kwargs):
             watching[0] = False
+            tracers.append(cache.tracer)
             return build(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "build_manifest",
                             build_after_measuring)
         cache.__class__ = Watched
-        return cache, reads
+        return cache, reads, tracers
 
     @pytest.mark.parametrize("scheme", ["STEM", "SBC", "V-Way", "LRU"])
     def test_attach_reads_no_dict(self, scheme, monkeypatch):
-        cache, reads = self._watched(scheme, monkeypatch)
+        cache, reads, tracers = self._watched(scheme, monkeypatch)
         trace = make_benchmark_trace("mcf", num_sets=64, length=4_000)
         result = run_trace(cache, trace, warmup_fraction=0.0, ledger=True)
         assert reads == []
-        tracer = cache.tracer
+        tracer, = tracers
         assert tracer is not NULL_TRACER
         assert tracer.enabled and not tracer.full
         assert result.ledger.events_seen == tracer.events_emitted > 0
+        assert cache.tracer is NULL_TRACER
 
     def test_attach_through_injecting_cache_reads_no_dict(
         self, monkeypatch
     ):
-        cache, reads = self._watched("STEM", monkeypatch)
+        cache, reads, tracers = self._watched("STEM", monkeypatch)
         trace = make_benchmark_trace("mcf", num_sets=64, length=4_000)
         injector = FaultInjector(FaultPlan.parse("sc_s:2"), len(trace),
                                  seed=11)
@@ -482,9 +490,65 @@ class TestAttach:
         assert reads == []
         # The sink landed on the inner cache's tracer, not the wrapper.
         assert "tracer" not in vars(wrapper)
-        tracer = cache.tracer
+        tracer, = tracers
         assert tracer is not NULL_TRACER and tracer.enabled
         assert result.ledger.events_seen == tracer.events_emitted > 0
+        assert cache.tracer is NULL_TRACER
+
+
+class TestRunAgain:
+    """A cache runs again after a ledgered run, with or without one.
+
+    Sealing the ledger detaches it: a plain cache gets its disabled
+    tracer back, and a caller's tracer keeps its own sinks.
+    """
+
+    #: Manifest fields that vary between runs of the same cell.
+    TIMINGS = ("warmup_seconds", "measured_seconds")
+
+    @classmethod
+    def _second_run(cls, scheme, first_ledger, second_ledger):
+        trace = make_benchmark_trace("mcf", num_sets=64, length=5_000)
+        cache = make_scheme(scheme, GEOMETRY, seed=11)
+        run_trace(cache, trace, ledger=first_ledger)
+        payload = result_to_dict(run_trace(cache, trace,
+                                           ledger=second_ledger))
+        for name in cls.TIMINGS:
+            del payload["manifest"][name]
+        return json.dumps(payload, sort_keys=True), cache.tracer
+
+    @pytest.mark.parametrize("second_ledger", [True, False])
+    @pytest.mark.parametrize("scheme", ["LRU", "SBC", "STEM"])
+    def test_second_run_as_after_a_plain_one(self, scheme, second_ledger):
+        after_ledger, tracer = self._second_run(scheme, True, second_ledger)
+        after_plain, _ = self._second_run(scheme, False, second_ledger)
+        assert after_ledger == after_plain
+        assert tracer is NULL_TRACER
+
+    @pytest.mark.parametrize("scheme", ["LRU", "SBC", "STEM"])
+    def test_callers_tracer_keeps_its_sinks(self, scheme):
+        trace = make_benchmark_trace("mcf", num_sets=64, length=5_000)
+        streams = []
+        for first_ledger in (True, False):
+            sink = RingBufferSink()
+            tracer = Tracer(sink)
+            cache = make_scheme(scheme, GEOMETRY, seed=11, tracer=tracer)
+            run_trace(cache, trace, ledger=first_ledger)
+            run_trace(cache, trace)
+            assert cache.tracer is tracer and tracer.full
+            streams.append((
+                [event.as_dict() for event in sink.events],
+                tracer.events_emitted,
+            ))
+        assert streams[0] == streams[1]
+        assert streams[0][1] > 0
+
+    def test_failed_run_detaches_too(self):
+        trace = make_benchmark_trace("mcf", num_sets=64, length=20_000)
+        cache = make_scheme("STEM", GEOMETRY, seed=11)
+        with pytest.raises(WatchdogTimeout):
+            run_trace(cache, trace, ledger=True, deadline_seconds=1e-9)
+        assert cache.tracer is NULL_TRACER
 
 
 class TestConservation:

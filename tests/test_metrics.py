@@ -2,8 +2,9 @@
 
 Covers the registry's delta/gauge sampling, the batch==scalar series
 guarantee, exporters (JSONL + Prometheus text), ``run_trace`` series
-attachment, run-cache round-trips, the timeline refactor, and the
-monotonic ``global_access`` clock across the warm-up reset.
+attachment (including a whole trace windowed from its cold start),
+run-cache round-trips, and the monotonic ``global_access`` clock across
+the warm-up reset.
 """
 
 import json
@@ -26,7 +27,6 @@ from repro.sim.cache import (
 )
 from repro.sim.config import ExperimentScale, make_scheme
 from repro.sim.simulator import run_trace
-from repro.sim.timeline import run_timeline
 from repro.workloads.spec_like import make_benchmark_trace
 
 GEOMETRY = CacheGeometry(num_sets=64, associativity=16)
@@ -354,41 +354,42 @@ class TestPersistence:
 
 
 class TestTimelineRefactor:
+    """A whole trace windowed from its cold start (warm-up 0)."""
+
     def test_timeline_matches_registry_sampling(self):
-        trace = small_trace(length=6_000)
-        timeline = run_timeline(
+        # The last window is short: 6,500 accesses in windows of 2,000.
+        trace = small_trace(length=6_500, write_fraction=0.3)
+        series = run_trace(
             make_scheme("stem", GEOMETRY, seed=3), trace,
-            window_length=2_000,
-        )
+            warmup_fraction=0.0, metrics_window=2_000,
+        ).series
         cache = make_scheme("stem", GEOMETRY, seed=3)
-        registry = MetricsRegistry(
-            window_length=2_000, include_per_set=False
-        )
+        registry = MetricsRegistry(window_length=2_000)
         writes = trace.writes
         position = 0
         while position < len(trace.addresses):
             stop = min(position + 2_000, len(trace.addresses))
             for index in range(position, stop):
-                is_write = bool(writes[index]) if writes is not None \
-                    else False
-                cache.access(trace.addresses[index], is_write)
+                cache.access(trace.addresses[index], bool(writes[index]))
             registry.sample(cache, stop - position)
             position = stop
-        assert timeline.series == registry.series
+        assert series.window_accesses == [2_000, 2_000, 2_000, 500]
+        assert series.series == registry.series
+        assert series.set_series == registry.set_series
 
     def test_timeline_includes_gauges(self):
-        timeline = run_timeline(
+        series = run_trace(
             make_scheme("stem", GEOMETRY), small_trace(length=4_000),
-            window_length=1_000,
-        )
-        assert "occupancy_fraction" in timeline.series
-        assert timeline.num_windows == 4
+            warmup_fraction=0.0, metrics_window=1_000,
+        ).series
+        assert "occupancy_fraction" in series.series
+        assert series.num_windows == 4
 
     def test_timeline_rejects_bad_window(self):
         with pytest.raises(ConfigError):
-            run_timeline(
+            run_trace(
                 make_scheme("lru", GEOMETRY), small_trace(length=1_000),
-                window_length=0,
+                warmup_fraction=0.0, metrics_window=0,
             )
 
 

@@ -493,7 +493,7 @@ class TestProfiler:
 
 
 class TestStatsDerivation:
-    """Satellites: merge/as_dict/timeline derive from dataclass fields."""
+    """Satellites: merge/as_dict/windowed series derive from dataclass fields."""
 
     def test_counter_field_names_cover_every_counter(self):
         names = counter_field_names()
@@ -521,11 +521,10 @@ class TestStatsDerivation:
         assert "miss_rate" in table
 
     def test_timeline_tracks_derived_counters(self):
-        from repro.sim.timeline import run_timeline
-
         cache = make_scheme("STEM", GEOMETRY)
         trace = make_benchmark_trace("vpr", num_sets=64, length=6_000)
-        timeline = run_timeline(cache, trace, window_length=2_000)
+        series = run_trace(cache, trace, warmup_fraction=0.0,
+                           metrics_window=2_000).series
         for name in counter_field_names():
-            assert name in timeline.series, name
-        assert len(timeline.series["spill_rejects"]) == timeline.num_windows
+            assert name in series.series, name
+        assert len(series.series["spill_rejects"]) == series.num_windows

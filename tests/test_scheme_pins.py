@@ -1,4 +1,4 @@
-"""STEM, SBC, V-Way, PeLIFO and DIP behaviour, pinned byte for byte.
+"""STEM, SBC, static SBC, V-Way, PeLIFO and DIP pinned byte for byte.
 
 The schemes' access code may be restructured for speed only if every
 access outcome, counter, LFSR draw and piece of controller state stays
@@ -6,17 +6,19 @@ the same.  The STEM, SBC and V-Way values below were recorded before
 the miss paths were flattened and before V-Way and SBC gained batch
 paths; the PeLIFO and DIP values and the heap-glitch campaigns before
 PeLIFO gained its own batch loop, the giver heap remembered its worst
-entry and DIP's insertion decision was flattened.  Each case drives the
-scalar ``access()`` over a trace with 30% writes and pins:
+entry and DIP's insertion decision was flattened; the static SBC
+values before SBC, static SBC and STEM came to share one block store.
+Each case drives the scalar ``access()`` over a trace with 30% writes
+and pins:
 
 * the per-access :class:`~repro.cache.access.AccessKind` sequence;
 * ``stats.as_dict()`` with the LFSR state;
 * every set's ``resident_blocks``;
 * the scheme's own controller state (STEM: shadow entries, policy
   modes, coupling roles, SC_S and SC_T; SBC: roles and saturation;
-  V-Way: lines per set and the clock hand; PeLIFO: fill stacks,
-  recency, depth histogram, mode counters, epoch and best mode; DIP:
-  recency order and PSEL);
+  static SBC: saturation; V-Way: lines per set and the clock hand;
+  PeLIFO: fill stacks, recency, depth histogram, mode counters, epoch
+  and best mode; DIP: recency order and PSEL);
 * the manifest ``content_hash``, which also pins every public scalar
   attribute of the cache.
 
@@ -62,6 +64,7 @@ SCHEMES = {
     "stem-throttle-0": (
         "stem", {"config": StemConfig(bip_throttle_bits=0)}),
     "sbc": ("sbc", {}),
+    "staticsbc": ("staticsbc", {}),
     "vway": ("vway", {}),
     "pelifo": ("pelifo", {}),
     "dip": ("dip", {}),
@@ -296,6 +299,34 @@ DIGESTS = {
         "e74715e497879a9dc33963de544e1f1b4e504da546d283a6599b87451c0023f1",
         "296ae3d978456cbd473182ae9881d57c6c14f8c5860ec99d6a50b16057fd233e",
     ),
+    ("staticsbc", "mcf", 16, 4): (
+        "718f271da55ced23e9943fce40f61833ae00a86299472a6b9f4fd6b49572f8d4",
+        "cc599e3dc7d8607a7d24f2b7bd36966c6efae19bd9efb79878154135a1e299e4",
+        "e0ba625697519cdb8f58dc6a8f702f3696898bd92ea43274fe12be4a3a0879d8",
+        "52294a2502633ce535befc9d62bc1f0e331892f341f8e60d670c69e8ad2039b8",
+        "17402e9666a58e1f1e506c39657569516b0e02885413e715146299d092481512",
+    ),
+    ("staticsbc", "mcf", 64, 16): (
+        "ddc459feecdf4a3cf1d0b3978844b32b9c399ea4ca0f5bdc5c62b3e7b7383d60",
+        "8750b44ed73abac73b04308bd3abd40028e9645f53b9c7be50bc37f2a72f8343",
+        "7ce1e02c3bf987a8722d90caa72ab4c9c956c74ce9ca36864c7ce3a828422d7f",
+        "f5e30f2ef9eda38a6f1d136cf051f4c74b9a0a29d5dd95d16cbee2a287c4454c",
+        "ced8699aa2fb80664fa70d23ce998d66c098120a9ceb361c4c991f1351b577fb",
+    ),
+    ("staticsbc", "omnetpp", 16, 4): (
+        "6d028aaf81a46ea96a1032c29e8d7e938fcd846129289b99fde3ae14eae0210f",
+        "2b0445fc5c366ec288a23e6b49d2c60aea7ee208fceaf894de3865935c29f330",
+        "64298b3cbe2acba7c7e81a45c8253b6563d3bdc9d87a7d93989e4c5e3090feef",
+        "15395f68b88b259a7b82f837314270041a0ce365889c0adf0a592a7cc4fe2bfb",
+        "6c56ad470b9e772a9a7b8ef7f7386bc8644e4e339cbd4b368dd74e511009f66b",
+    ),
+    ("staticsbc", "omnetpp", 64, 16): (
+        "2e9857d0b67374e30a1b64a1b0f652d2b45b9ffd2991089f3479261ab010b1d7",
+        "96f5d843646a5e16287544a0fc16247e382bc52da18e2c9c9074392b3c9e3fb5",
+        "0ef184b63e7bc70b333edde944939d570e2deb22bee3cff445d6e23e4f463a0b",
+        "10239950b7d52fa0d41b57c8a817f64893fa66b4814a097c8d92a1e7af8a8c25",
+        "78fd5e9099c804b78940460a767f0fd86fba42b917215d21b9e4d37efd2f98df",
+    ),
     ("vway", "mcf", 16, 4): (
         "fd02ae504a7d971fb9fb13d54918e1281aaadc8808be0dd0109d8f24313cfe34",
         "4b7e258a9c2f77b0d69b84b41f2d9fb319a81db4d03af0deb0435d0c51188ee4",
@@ -446,6 +477,10 @@ def _sbc_state(cache, sets):
     }
 
 
+def _static_sbc_state(cache, sets):
+    return {"saturation": [cache.saturation_of(s) for s in sets]}
+
+
 def _vway_state(cache, sets):
     return {
         "lines": [cache.lines_owned_by(s) for s in sets],
@@ -474,7 +509,8 @@ def _dip_state(cache, sets):
     }
 
 
-SCHEME_STATE = {"stem": _stem_state, "sbc": _sbc_state, "vway": _vway_state,
+SCHEME_STATE = {"stem": _stem_state, "sbc": _sbc_state,
+                "staticsbc": _static_sbc_state, "vway": _vway_state,
                 "pelifo": _pelifo_state, "dip": _dip_state}
 
 

@@ -1,17 +1,25 @@
-"""Tests for windowed timelines and multi-seed replication."""
+"""Tests for windowed timelines and multi-seed replication.
+
+A timeline is ``run_trace(..., warmup_fraction=0.0, metrics_window=N)``:
+per-window series over the whole trace, cold start included.
+"""
 
 import pytest
 
-from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.sim.config import ExperimentScale, make_scheme
 from repro.sim.replication import compare_with_confidence, replicate
-from repro.sim.timeline import run_timeline
+from repro.sim.simulator import run_trace
 from repro.workloads.mixes import phased_trace
 from repro.workloads.generators import SetGroupSpec, WorkloadSpec
-from repro.workloads.spec_like import BENCHMARKS, make_benchmark_trace
+from repro.workloads.spec_like import make_benchmark_trace
 
 SMALL = ExperimentScale(num_sets=32, associativity=8, trace_length=10_000)
+
+
+def timeline(cache, trace, window_length):
+    return run_trace(cache, trace, warmup_fraction=0.0,
+                     metrics_window=window_length).series
 
 
 class TestTimeline:
@@ -19,28 +27,27 @@ class TestTimeline:
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("vpr", num_sets=32, length=1000)
         with pytest.raises(ConfigError):
-            run_timeline(cache, trace, window_length=0)
+            timeline(cache, trace, window_length=0)
 
     def test_window_count_and_shape(self):
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("vpr", num_sets=32, length=2500)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        assert timeline.num_windows == 3  # 1000, 1000, 500
-        assert len(timeline.series["misses"]) == 3
-        assert timeline.scheme == "LRU"
+        series = timeline(cache, trace, window_length=1000)
+        assert series.num_windows == 3  # 1000, 1000, 500
+        assert len(series.series["misses"]) == 3
+        assert series.scheme == "LRU"
 
     def test_deltas_sum_to_totals(self):
         cache = make_scheme("STEM", SMALL.geometry())
         trace = make_benchmark_trace("mcf", num_sets=32, length=4000)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        assert sum(timeline.series["misses"]) == cache.stats.misses
-        assert sum(timeline.series["spills"]) == cache.stats.spills
+        series = timeline(cache, trace, window_length=1000)
+        assert sum(series.series["misses"]) == cache.stats.misses
+        assert sum(series.series["spills"]) == cache.stats.spills
 
     def test_cold_start_visible_in_first_window(self):
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("gromacs", num_sets=32, length=6000)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        rates = timeline.series["miss_rate"]
+        rates = timeline(cache, trace, window_length=1000).series["miss_rate"]
         assert rates[0] > rates[-1]
 
     def test_phase_change_spikes_miss_rate(self):
@@ -58,18 +65,9 @@ class TestTimeline:
             [quiet, storm], phase_length=4000, num_sets=32
         )
         cache = make_scheme("LRU", SMALL.geometry())
-        timeline = run_timeline(cache, trace, window_length=1000)
+        rates = timeline(cache, trace, window_length=1000).series["miss_rate"]
         # The worst window must fall in the storm phase.
-        assert timeline.peak_window() >= 4
-
-    def test_window_mpki(self):
-        cache = make_scheme("LRU", SMALL.geometry())
-        trace = make_benchmark_trace("mcf", num_sets=32, length=3000)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        ipa = trace.metadata.instructions / len(trace)
-        mpki = timeline.window_mpki(ipa)
-        assert len(mpki) == timeline.num_windows
-        assert all(value >= 0 for value in mpki)
+        assert max(range(len(rates)), key=rates.__getitem__) >= 4
 
 
 class TestReplication:
