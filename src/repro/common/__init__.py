@@ -1,11 +1,7 @@
-"""Shared plumbing: addressing, hashing, counters, RNGs, statistics."""
+"""Shared plumbing: addressing, hashing, DIP's PSEL counter, RNGs, statistics."""
 
 from repro.common.addressing import AddressMapper, is_power_of_two, log2_exact
-from repro.common.counters import (
-    PolicySelector,
-    SaturatingCounter,
-    SignedSaturatingCounter,
-)
+from repro.common.counters import PolicySelector
 from repro.common.errors import ConfigError, ReproError, SimulationError, TraceError
 from repro.common.hashing import H3Hash, fold_xor, parity
 from repro.common.rng import Lfsr, SplitMix
@@ -19,8 +15,6 @@ __all__ = [
     "Lfsr",
     "PolicySelector",
     "ReproError",
-    "SaturatingCounter",
-    "SignedSaturatingCounter",
     "SimulationError",
     "SplitMix",
     "TraceError",

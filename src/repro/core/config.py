@@ -36,6 +36,11 @@ class StemConfig:
     * ``safe_mode_check_interval`` — accesses between periodic full
       invariant sweeps while safe mode is active (0 disables the sweep;
       corruption is then only caught when it breaks the access path).
+
+    Two values derive from ``counter_bits`` and are not fields, so
+    neither ``asdict()`` nor the manifest hash sees them:
+    ``counter_max``, where SC_S and SC_T saturate, and ``giver_bit``,
+    the MSB: a set is a giver while its SC_S is below it.
     """
 
     counter_bits: int = 4
@@ -77,6 +82,9 @@ class StemConfig:
                 "safe_mode_check_interval must be >= 0, got "
                 f"{self.safe_mode_check_interval}"
             )
+        # Derived values, set past the frozen dataclass's __setattr__.
+        object.__setattr__(self, "counter_max", (1 << self.counter_bits) - 1)
+        object.__setattr__(self, "giver_bit", 1 << (self.counter_bits - 1))
 
 
 #: The exact configuration evaluated in the paper.

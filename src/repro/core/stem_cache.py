@@ -3,8 +3,9 @@
 This is the paper's contribution (Section 4), assembled from the
 substrate pieces:
 
-* every set carries a :class:`~repro.core.scdm.SetMonitor` (shadow set
-  + SC_S/SC_T saturating counters);
+* every set carries a Set-level Capacity Demand Monitor (§4.2): a
+  shadow set of hashed victim tags and the k-bit saturating counters
+  SC_S and SC_T, kept as per-set lists beside the block store's;
 * every set duels its own replacement policy between LRU and BIP,
   swapping whenever SC_T saturates (set-level temporal management);
 * takers (saturated SC_S) couple with the least-saturated giver from
@@ -17,11 +18,20 @@ substrate pieces:
 The class exposes the same ``access() -> AccessKind`` protocol as every
 other scheme, so the simulator, hierarchy, and experiment harness treat
 STEM, SBC, V-Way and the plain policy caches interchangeably.
+
+The SCDM's rules (§4.2–4.3): a shadow hit invalidates the signature
+(signatures stay exclusive with resident blocks) and adds 1 to SC_S and
+SC_T; a local hit takes 1 from SC_T, and from SC_S once per 2**n hits
+as the LFSR decides; a saturated SC_S marks a taker, a clear MSB a
+giver; a saturated SC_T swaps the set's policy and restarts at 0.  A
+shadow set holds at most associativity signatures: a victim is filed at
+the rank of the shadow's own policy (the opposite of the set's), a
+duplicate is re-ranked, and a full shadow drops its LRU entry first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.cache.access import AccessKind
 from repro.cache.block import ShadowView
@@ -30,7 +40,6 @@ from repro.common.errors import ConfigError, InvariantViolation, SimulationError
 from repro.common.hashing import H3Hash
 from repro.common.rng import Lfsr
 from repro.core.config import StemConfig
-from repro.core.scdm import SetMonitor
 from repro.obs.events import (
     CoopHit,
     Coupling,
@@ -63,7 +72,12 @@ _RECOVERABLE = (SimulationError, IndexError, KeyError, ValueError, TypeError)
 
 
 class StemCache(CooperativeSets):
-    """SpatioTEmporally Managed last level cache."""
+    """SpatioTEmporally Managed last level cache.
+
+    Its instance attributes are at CPython 3.11's shared-key budget
+    (DESIGN.md §9): one more would put every STEM built after a
+    safe-mode one on a dict, so a new attribute replaces an old one.
+    """
 
     name = "STEM"
 
@@ -84,26 +98,20 @@ class StemCache(CooperativeSets):
             seed=self.config.hash_seed,
         )
         num_sets = geometry.num_sets
-        assoc = geometry.associativity
         # Temporal state: per-set policy mode, starting from LRU.
         self._mode: List[int] = [_MODE_LRU] * num_sets
-        # The SCDM.
-        self.monitors: List[SetMonitor] = [
-            SetMonitor(
-                associativity=assoc,
-                counter_bits=self.config.counter_bits,
-                spatial_ratio_bits=self.config.spatial_ratio_bits,
-            )
-            for _ in range(num_sets)
-        ]
+        # The SCDM, per set: SC_S, SC_T, and the shadow set as its
+        # signatures in recency order (LRU first) plus their set.  The
+        # hot loops bind these lists to locals; the fault injector
+        # corrupts them by name.
+        self.sc_s: List[int] = [0] * num_sets
+        self.sc_t: List[int] = [0] * num_sets
+        self.shadow_order: List[List[int]] = [[] for _ in range(num_sets)]
+        self.shadow_members: List[Set[int]] = [set() for _ in range(num_sets)]
         # Spatial state: pairing and the candidate-giver heap.
         self.association = AssociationTable(num_sets)
         self.heap = GiverHeap(self.config.heap_capacity)
         self._coupled_role: List[int] = [_UNCOUPLED] * num_sets
-        # SC_S/SC_T's saturated value and MSB (taker, swap and giver
-        # tests), read against the counters' raw values on the miss path.
-        self._counter_max = (1 << self.config.counter_bits) - 1
-        self._giver_bit = 1 << (self.config.counter_bits - 1)
         # Resilience state: sets pinned to plain LRU after recovery.
         self._in_safe_mode: List[bool] = [False] * num_sets
         # Attribution counters for the capacity-flow ledger, maintained
@@ -138,14 +146,29 @@ class StemCache(CooperativeSets):
                 self._led_hits[set_index] += 1
                 if self._mode[set_index] == _MODE_BIP:
                     self._led_bip[set_index] += 1
-            monitor = self.monitors[set_index]
-            monitor.record_local_hit(self.rng)
+            # SC_T -1 on every local hit, SC_S -1 once per 2**n.
+            config = self.config
+            sc_t = self.sc_t
+            if sc_t[set_index]:
+                sc_t[set_index] -= 1
+            sc_s = self.sc_s
+            if self.rng.one_in(config.spatial_ratio_bits):
+                if sc_s[set_index]:
+                    sc_s[set_index] -= 1
             if is_write:
                 self._dirty[set_index][way] = True
             order = self._order[set_index]
             order.remove(way)
             order.append(way)
-            self._maybe_post_giver(set_index, monitor)
+            # A giver posts itself to the heap of candidate givers.
+            value = sc_s[set_index]
+            if (
+                value < config.giver_bit
+                and config.enable_spatial
+                and self._coupled_role[set_index] == _UNCOUPLED
+                and not self._in_safe_mode[set_index]
+            ):
+                self.heap.offer(set_index, value)
             return AccessKind.LOCAL_HIT
         return self._access_miss(set_index, tag, is_write)
 
@@ -197,20 +220,19 @@ class StemCache(CooperativeSets):
         else:
             stats.misses_single_probe += 1
         config = self.config
-        counter_max = self._counter_max
-        monitor = self.monitors[set_index]
-        sc_s = monitor.sc_s
-        sc_t = monitor.sc_t
+        counter_max = config.counter_max
+        sc_s = self.sc_s
+        sc_t = self.sc_t
+        shadow_members = self.shadow_members[set_index]
         signature = self._hash(tag)
         # Shadow probe: invalidate on hit, pulse both counters.
-        shadow = monitor.shadow
-        if signature in shadow._members:
-            shadow._members.discard(signature)
-            shadow._order.remove(signature)
-            if sc_s._value < counter_max:
-                sc_s._value += 1
-            if sc_t._value < counter_max:
-                sc_t._value += 1
+        if signature in shadow_members:
+            shadow_members.discard(signature)
+            self.shadow_order[set_index].remove(signature)
+            if sc_s[set_index] < counter_max:
+                sc_s[set_index] += 1
+            if sc_t[set_index] < counter_max:
+                sc_t[set_index] += 1
             stats.shadow_hits += 1
             if tracer.enabled:
                 if tracer.full:
@@ -261,14 +283,17 @@ class StemCache(CooperativeSets):
                     config.enable_spatial
                     and roles[set_index] == _UNCOUPLED
                     and not self._in_safe_mode[set_index]
-                    and sc_s._value == counter_max
+                    and sc_s[set_index] == counter_max
                 ):
                     # "When an uncoupled taker set needs to evict a
                     # block, it first sends a coupling request to the HW
                     # heap" (§4.5).
                     self._try_couple(set_index)
                 spilled = False
-                if roles[set_index] == _TAKER and sc_s._value >= self._giver_bit:
+                if (
+                    roles[set_index] == _TAKER
+                    and sc_s[set_index] >= config.giver_bit
+                ):
                     giver = self.association.partner_of(set_index)
                     if self._receiving_allowed(giver):
                         self._spill(set_index, giver, victim_tag, dirty)
@@ -288,14 +313,13 @@ class StemCache(CooperativeSets):
                     at_mru = shadow_mode == _MODE_LRU or self.rng.one_in(
                         config.bip_throttle_bits
                     )
-                    shadow = monitor.shadow
-                    members = shadow._members
-                    ranks = shadow._order
-                    if victim_signature in members:
+                    # Inlined shadow_insert.
+                    ranks = self.shadow_order[set_index]
+                    if victim_signature in shadow_members:
                         ranks.remove(victim_signature)
-                    elif len(ranks) >= shadow.capacity:
-                        members.discard(ranks.pop(0))
-                    members.add(victim_signature)
+                    elif len(ranks) >= self.geometry.associativity:
+                        shadow_members.discard(ranks.pop(0))
+                    shadow_members.add(victim_signature)
                     if at_mru:
                         ranks.append(victim_signature)
                     else:
@@ -310,7 +334,7 @@ class StemCache(CooperativeSets):
             order.append(way)
         else:
             order.insert(0, way)
-        if sc_t._value == counter_max:
+        if sc_t[set_index] == counter_max:
             # The shadow's policy is winning: swap and restart the duel.
             if config.enable_temporal and not self._in_safe_mode[set_index]:
                 self._mode[set_index] ^= 1
@@ -323,14 +347,14 @@ class StemCache(CooperativeSets):
                         mode=self.policy_mode_of(set_index),
                         hits=stats.hits,
                     ))
-            sc_t._value = 0
+            sc_t[set_index] = 0
         if (
             config.enable_spatial
             and roles[set_index] == _UNCOUPLED
             and not self._in_safe_mode[set_index]
         ):
-            value = sc_s._value
-            if value < self._giver_bit:
+            value = sc_s[set_index]
+            if value < config.giver_bit:
                 self.heap.offer(set_index, value)
         return AccessKind.MISS_COOP if probed_coop else AccessKind.MISS
 
@@ -361,14 +385,15 @@ class StemCache(CooperativeSets):
         lookup = self._lookup
         orders = self._order
         dirty_rows = self._dirty
-        monitors = self.monitors
+        sc_s = self.sc_s
+        sc_t = self.sc_t
         roles = self._coupled_role
         safe = self._in_safe_mode
         heap_offer = self.heap.offer
         rng = self.rng
         miss = self._access_miss
         spatial = config.enable_spatial
-        giver_bit = self._giver_bit
+        giver_bit = config.giver_bit
         ratio_bits = config.spatial_ratio_bits
         if ratio_bits > 0:
             jump_vals, jump_states = Lfsr.jump_table(ratio_bits)
@@ -401,32 +426,29 @@ class StemCache(CooperativeSets):
                 led_hits[set_index] += 1
                 if modes[set_index] == _MODE_BIP:
                     led_bip[set_index] += 1
-            monitor = monitors[set_index]
-            # Inlined SetMonitor.record_local_hit: SC_T -1 always,
-            # SC_S -1 once per 2**ratio_bits hits (LFSR-decided).
-            sc_t = monitor.sc_t
-            value = sc_t._value
+            # SC_T -1 always, SC_S -1 once per 2**ratio_bits hits
+            # (LFSR-decided, one_in() read from the jump table).
+            value = sc_t[set_index]
             if value:
-                sc_t._value = value - 1
+                sc_t[set_index] = value - 1
             if jump_states is None:
                 spatial_decrement = True
             else:
                 state = rng._state
                 rng._state = jump_states[state]
                 spatial_decrement = not jump_vals[state]
-            sc_s = monitor.sc_s
             if spatial_decrement:
-                value = sc_s._value
+                value = sc_s[set_index]
                 if value:
-                    sc_s._value = value - 1
+                    sc_s[set_index] = value - 1
             if has_writes and writes[n]:
                 dirty_rows[set_index][way] = True
             order = orders[set_index]
             order.remove(way)
             order.append(way)
-            # Inlined _maybe_post_giver for the hit path.
+            # A giver posts itself to the heap of candidate givers.
             if spatial and roles[set_index] == 0 and not safe[set_index]:
-                value = sc_s._value
+                value = sc_s[set_index]
                 if value < giver_bit:
                     heap_offer(set_index, value)
         stats.accesses += acc
@@ -441,7 +463,7 @@ class StemCache(CooperativeSets):
         """Receiving control (§4.6): the giver must still be unsaturated."""
         if not self.config.receiving_control:
             return True
-        return self.monitors[giver].is_giver
+        return self.sc_s[giver] < self.config.giver_bit
 
     def _spill_reject(self, taker: int, giver: int, tag: int) -> None:
         """Receiving control refused a taker victim; it leaves the chip."""
@@ -466,8 +488,8 @@ class StemCache(CooperativeSets):
             self.stats.writebacks += 1
         # The block leaves the chip: file it in its *owner's* shadow set
         # so the taker's capacity demand keeps being measured.
-        self.monitors[taker].record_victim(
-            self._hash(victim_tag), self._shadow_insert_at_mru(taker)
+        self.shadow_insert(
+            taker, self._hash(victim_tag), self._shadow_insert_at_mru(taker)
         )
         self._cc_count[giver] -= 1
         if self._cc_count[giver] == 0:
@@ -499,7 +521,8 @@ class StemCache(CooperativeSets):
                 # decouple check, the insert below restores the count.
                 if victim_dirty:
                     self.stats.writebacks += 1
-                self.monitors[taker].record_victim(
+                self.shadow_insert(
+                    taker,
                     self._hash(victim_key >> 1),
                     self._shadow_insert_at_mru(taker),
                 )
@@ -538,23 +561,34 @@ class StemCache(CooperativeSets):
         """A local block leaves the chip: write back + shadow capture."""
         if dirty:
             self.stats.writebacks += 1
-        self.monitors[set_index].record_victim(
-            self._hash(victim_tag), self._shadow_insert_at_mru(set_index)
+        self.shadow_insert(
+            set_index,
+            self._hash(victim_tag),
+            self._shadow_insert_at_mru(set_index),
         )
+
+    def shadow_insert(self, set_index: int, signature: int, at_mru: bool) -> None:
+        """File ``signature`` in the set's shadow at the MRU or LRU rank.
+
+        A duplicate signature (a hash alias of an earlier victim, or the
+        same block bouncing) is re-ranked rather than duplicated; a full
+        shadow set drops its own LRU entry first.
+        """
+        members = self.shadow_members[set_index]
+        ranks = self.shadow_order[set_index]
+        if signature in members:
+            ranks.remove(signature)
+        elif len(ranks) >= self.geometry.associativity:
+            members.discard(ranks.pop(0))
+        members.add(signature)
+        if at_mru:
+            ranks.append(signature)
+        else:
+            ranks.insert(0, signature)
 
     # ------------------------------------------------------------------
     # Coupling management
     # ------------------------------------------------------------------
-
-    def _maybe_post_giver(self, set_index: int, monitor: SetMonitor) -> None:
-        if not self.config.enable_spatial:
-            return
-        if (
-            self._coupled_role[set_index] == _UNCOUPLED
-            and not self._in_safe_mode[set_index]
-            and monitor.is_giver
-        ):
-            self.heap.offer(set_index, monitor.saturation)
 
     def _try_couple(self, taker: int) -> Optional[int]:
         def _valid(candidate: int) -> bool:
@@ -566,7 +600,7 @@ class StemCache(CooperativeSets):
                 and candidate != taker
                 and not self._in_safe_mode[candidate]
                 and self._coupled_role[candidate] == _UNCOUPLED
-                and self.monitors[candidate].is_giver
+                and self.sc_s[candidate] < self.config.giver_bit
             )
 
         giver = self.heap.pop_best(_valid)
@@ -601,7 +635,8 @@ class StemCache(CooperativeSets):
             # receiving control cut the inflow, and the drain follows
             # from that role change.
             reason = (
-                "giver_drained" if self.monitors[giver].is_giver
+                "giver_drained"
+                if self.sc_s[giver] < self.config.giver_bit
                 else "role_change"
             )
             tracer.emit(Decoupling(
@@ -751,7 +786,12 @@ class StemCache(CooperativeSets):
                         ))
         self._coupled_role[set_index] = _UNCOUPLED
         self._rebuild_set(set_index)
-        self.monitors[set_index].reset()
+        # The set's capacity-demand history is untrustworthy: both
+        # counters restart at zero and the shadow set is emptied.
+        self.sc_s[set_index] = 0
+        self.sc_t[set_index] = 0
+        self.shadow_order[set_index].clear()
+        self.shadow_members[set_index].clear()
         self._mode[set_index] = _MODE_LRU
         self.heap.remove(set_index)
         self._in_safe_mode[set_index] = True
@@ -832,10 +872,9 @@ class StemCache(CooperativeSets):
 
     def shadow_entries(self, set_index: int) -> List[ShadowView]:
         """Views of the valid shadow signatures of ``set_index``."""
-        shadow = self.monitors[set_index].shadow
         return [
             ShadowView(set_index=set_index, way=way, hashed_tag=signature)
-            for way, signature in enumerate(shadow.entries())
+            for way, signature in enumerate(self.shadow_order[set_index])
         ]
 
     def metrics_gauges(self) -> Dict[str, float]:
@@ -846,26 +885,20 @@ class StemCache(CooperativeSets):
         taker/giver census, the candidate-giver heap depth, the live
         coupling population and the safe-mode set count.
         """
-        monitors = self.monitors
-        num_sets = len(monitors)
+        sc_s = self.sc_s
+        num_sets = len(sc_s)
         capacity = num_sets * self.geometry.associativity
         filled = sum(len(table) for table in self._lookup)
-        sc_s_total = sc_t_total = takers = givers = 0
-        for monitor in monitors:
-            sc_s_total += monitor.sc_s.value
-            sc_t_total += monitor.sc_t.value
-            if monitor.is_taker:
-                takers += 1
-            if monitor.is_giver:
-                givers += 1
-        counter_max = monitors[0].sc_s.max_value or 1
+        counter_max = self.config.counter_max
+        takers = sum(1 for value in sc_s if value == counter_max)
+        givers = sum(1 for value in sc_s if value < self.config.giver_bit)
         coupled_pairs = sum(
             1 for role in self._coupled_role if role == _TAKER
         )
         return {
             "occupancy_fraction": filled / capacity,
-            "sc_s_saturation": sc_s_total / (num_sets * counter_max),
-            "sc_t_saturation": sc_t_total / (num_sets * counter_max),
+            "sc_s_saturation": sum(sc_s) / (num_sets * counter_max),
+            "sc_t_saturation": sum(self.sc_t) / (num_sets * counter_max),
             "taker_fraction": takers / num_sets,
             "giver_fraction": givers / num_sets,
             "giver_heap_depth": float(len(self.heap)),
@@ -954,9 +987,20 @@ class StemCache(CooperativeSets):
                     f"set {set_index}: recency order disagrees with the "
                     "lookup table"
                 )
-            if len(self.monitors[set_index].shadow) > (
-                self.geometry.associativity
-            ):
+            ranks = self.shadow_order[set_index]
+            if len(ranks) > self.geometry.associativity:
                 raise InvariantViolation(
                     f"set {set_index}: shadow set exceeds associativity"
                 )
+            members = self.shadow_members[set_index]
+            if len(ranks) != len(members) or set(ranks) != members:
+                raise InvariantViolation(
+                    f"set {set_index}: shadow order disagrees with its "
+                    "members"
+                )
+            for name, counters in (("SC_S", self.sc_s), ("SC_T", self.sc_t)):
+                if not 0 <= counters[set_index] <= self.config.counter_max:
+                    raise InvariantViolation(
+                        f"set {set_index}: {name} {counters[set_index]} "
+                        f"outside [0, {self.config.counter_max}]"
+                    )

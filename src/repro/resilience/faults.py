@@ -250,40 +250,34 @@ class FaultInjector:
     ) -> None:
         rng = self._rng
         if target in ("sc_s", "sc_t"):
-            monitors = getattr(cache, "monitors", None)
-            if not monitors:
+            # STEM's per-set SC_S / SC_T lists carry the targets' names.
+            counters = getattr(cache, target, None)
+            if not counters:
                 self._skip(cache, target, index)
                 return
-            set_index = rng.randint(0, len(monitors) - 1)
-            counter = getattr(monitors[set_index], target, None)
-            if counter is None or not hasattr(counter, "flip_bit"):
-                self._skip(cache, target, index)
-                return
-            bit = rng.randint(0, counter.bits - 1)
-            counter.flip_bit(bit)
+            set_index = rng.randint(0, len(counters) - 1)
+            # A single-event upset in the k-bit register: the value
+            # stays in range and silently steers classification.
+            bit = rng.randint(0, cache.config.counter_bits - 1)
+            counters[set_index] ^= 1 << bit
             self._record(
                 cache, target, set_index=set_index,
                 detail=f"bit={bit}", index=index,
             )
         elif target == "shadow":
-            monitors = getattr(cache, "monitors", None)
-            if not monitors:
+            shadows = getattr(cache, "shadow_order", None)
+            if not shadows:
                 self._skip(cache, target, index)
                 return
-            set_index = rng.randint(0, len(monitors) - 1)
-            shadow = getattr(monitors[set_index], "shadow", None)
-            if shadow is None:
-                self._skip(cache, target, index)
-                return
-            config = getattr(cache, "config", None)
-            tag_bits = getattr(config, "shadow_tag_bits", 10)
-            entries = shadow.entries()
+            set_index = rng.randint(0, len(shadows) - 1)
+            ranks = shadows[set_index]
             dropped = None
-            if entries:
-                dropped = entries[rng.randint(0, len(entries) - 1)]
-                shadow.lookup_and_invalidate(dropped)
-            bogus = rng.randint(0, (1 << tag_bits) - 1)
-            shadow.insert(bogus, at_mru=bool(rng.randint(0, 1)))
+            if ranks:
+                dropped = ranks[rng.randint(0, len(ranks) - 1)]
+                ranks.remove(dropped)
+                cache.shadow_members[set_index].discard(dropped)
+            bogus = rng.randint(0, (1 << cache.config.shadow_tag_bits) - 1)
+            cache.shadow_insert(set_index, bogus, bool(rng.randint(0, 1)))
             self._record(
                 cache, "shadow", set_index=set_index,
                 detail=f"dropped={dropped} inserted={bogus}", index=index,

@@ -69,6 +69,12 @@ class SbcCache(CooperativeSets):
             if couple_threshold is not None
             else self.saturation_limit // 2
         )
+        if self.couple_threshold <= 0:
+            # No saturation falls below it: the cache would never couple.
+            raise ConfigError(
+                f"couple_threshold must be positive, got "
+                f"{self.couple_threshold}"
+            )
         self.association = AssociationTable(num_sets)
         self.heap = GiverHeap(heap_capacity)
         self._saturation: List[int] = [0] * num_sets

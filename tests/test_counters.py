@@ -1,76 +1,82 @@
-"""Unit tests for the saturating-counter family."""
+"""Unit tests for the saturating counters: STEM's SC_S/SC_T and PSEL."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.counters import (
-    PolicySelector,
-    SaturatingCounter,
-    SignedSaturatingCounter,
-)
+from repro.cache.geometry import CacheGeometry
+from repro.common.counters import PolicySelector
 from repro.common.errors import ConfigError
+from repro.core import StemCache, StemConfig
 
 
 class TestSaturatingCounter:
+    """k-bit counters clamped to [0, 2^k - 1], read through their MSB."""
+
     def test_initial_state(self):
-        counter = SaturatingCounter(4)
-        assert counter.value == 0
-        assert counter.max_value == 15
-        assert not counter.saturated
-        assert counter.msb == 0
+        cache = StemCache(CacheGeometry(num_sets=4, associativity=4))
+        assert cache.sc_s == [0] * 4
+        assert cache.sc_t == [0] * 4
+        # A clear MSB everywhere: every set starts a giver, none a taker.
+        gauges = cache.metrics_gauges()
+        assert (gauges["giver_fraction"], gauges["taker_fraction"]) == \
+            (1.0, 0.0)
 
     def test_saturates_at_maximum(self):
-        counter = SaturatingCounter(4)
+        psel = PolicySelector(bits=4)
         for _ in range(100):
-            counter.increment()
-        assert counter.value == 15
-        assert counter.saturated
+            psel.policy0_missed()
+        assert psel.value == 15
+        assert psel.winner() == 1
 
     def test_clamps_at_zero(self):
-        counter = SaturatingCounter(4, initial=2)
-        for _ in range(10):
-            counter.decrement()
-        assert counter.value == 0
+        psel = PolicySelector(bits=4)
+        for _ in range(100):
+            psel.policy1_missed()
+        assert psel.value == 0
+        assert psel.winner() == 0
 
     def test_msb_threshold_is_half_range(self):
         # STEM's giver test: MSB == 0 below 2^(k-1) (Section 4.4).
-        counter = SaturatingCounter(4)
+        cache = StemCache(CacheGeometry(num_sets=16, associativity=4))
+        cache.sc_s[:] = range(16)
+        gauges = cache.metrics_gauges()
+        assert gauges["giver_fraction"] == 8 / 16
+        assert gauges["taker_fraction"] == 1 / 16
+        # PSEL's winner is the same bit.
+        psel = PolicySelector(bits=4)
+        for _ in range(8):
+            psel.policy1_missed()
         for value in range(16):
-            counter.reset(value)
-            assert counter.msb == (1 if value >= 8 else 0)
+            assert psel.value == value
+            assert psel.winner() == (1 if value >= 8 else 0)
+            psel.policy0_missed()
 
     def test_increment_amount(self):
-        counter = SaturatingCounter(4)
-        counter.increment(amount=9)
-        assert counter.value == 9
-        counter.increment(amount=9)
-        assert counter.value == 15
-
-    def test_reset_bounds_checked(self):
-        counter = SaturatingCounter(4)
-        with pytest.raises(ConfigError):
-            counter.reset(16)
+        # Each leader-set miss moves PSEL by exactly one step.
+        psel = PolicySelector(bits=4)
+        psel.policy0_missed()
+        assert psel.value == 9
+        psel.policy1_missed()
+        psel.policy1_missed()
+        assert psel.value == 7
 
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigError):
-            SaturatingCounter(0)
-
-    def test_rejects_bad_initial(self):
-        with pytest.raises(ConfigError):
-            SaturatingCounter(3, initial=8)
+            StemConfig(counter_bits=0)
 
     @given(
-        ops=st.lists(st.sampled_from(["inc", "dec"]), max_size=200),
+        ops=st.lists(st.booleans(), max_size=200),
         bits=st.integers(min_value=1, max_value=8),
     )
     def test_value_always_in_range(self, ops, bits):
-        counter = SaturatingCounter(bits)
-        for op in ops:
-            if op == "inc":
-                counter.increment()
+        psel = PolicySelector(bits=bits)
+        for policy0 in ops:
+            if policy0:
+                psel.policy0_missed()
             else:
-                counter.decrement()
-            assert 0 <= counter.value <= counter.max_value
+                psel.policy1_missed()
+            assert 0 <= psel.value <= (1 << bits) - 1
+            assert psel.winner() == psel.value >> (bits - 1)
 
 
 class TestPolicySelector:
@@ -102,29 +108,3 @@ class TestPolicySelector:
             psel.policy0_missed()
             psel.policy1_missed()
         assert abs(psel.value - 512) <= 1
-
-
-class TestSignedSaturatingCounter:
-    def test_clamps_both_directions(self):
-        counter = SignedSaturatingCounter(limit=5)
-        for _ in range(20):
-            counter.increment()
-        assert counter.value == 5
-        for _ in range(40):
-            counter.decrement()
-        assert counter.value == -5
-
-    def test_reset(self):
-        counter = SignedSaturatingCounter(limit=8)
-        counter.reset(-3)
-        assert counter.value == -3
-        with pytest.raises(ConfigError):
-            counter.reset(9)
-
-    def test_rejects_bad_limit(self):
-        with pytest.raises(ConfigError):
-            SignedSaturatingCounter(limit=0)
-
-    def test_rejects_out_of_range_initial(self):
-        with pytest.raises(ConfigError):
-            SignedSaturatingCounter(limit=2, initial=3)

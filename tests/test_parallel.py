@@ -3,6 +3,7 @@
 import pytest
 
 import repro.sim.config as sim_config
+from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError, SimulationError
 from repro.obs import RingBufferSink, Tracer
 from repro.obs.ledger import LedgerSink
@@ -19,6 +20,7 @@ from repro.sim.runner import associativity_sweep, run_benchmarks, run_matrix
 from repro.sim.simulator import run_trace
 from repro.obs.profile import RunProfiler
 from repro.workloads.spec_like import make_benchmark_trace
+from tests.test_scheme_pins import SCHEMES as PINNED_SCHEMES
 
 SCALE = ExperimentScale(num_sets=64, associativity=16, trace_length=20_000)
 
@@ -84,6 +86,30 @@ def _observed_scheme(scheme, observers):
     return cache, ledger, ring
 
 
+#: STEM's ablation configs, named as in the scheme pins.
+STEM_ABLATIONS = {
+    case: kwargs["config"] for case, (scheme, kwargs) in PINNED_SCHEMES.items()
+    if case.startswith("stem-")
+}
+
+
+def _stem_snapshot(cache):
+    """Stats, LFSR state, resident blocks, every set's SCDM state, policy
+    mode and role, and the giver heap."""
+    sets = range(cache.geometry.num_sets)
+    return (
+        cache.stats.as_dict(),
+        cache.rng.state,
+        [cache.resident_blocks(s) for s in sets],
+        [cache.shadow_entries(s) for s in sets],
+        list(cache.sc_s),
+        list(cache.sc_t),
+        [cache.policy_mode_of(s) for s in sets],
+        [cache.role_of(s) for s in sets],
+        cache.heap.entries(),
+    )
+
+
 def _sealed(cache, ledger):
     stats = cache.stats
     counters = getattr(cache, "ledger_counters", None)
@@ -123,6 +149,26 @@ class TestBatchExactness:
                 _sealed(scalar, scalar_ledger)
         if scalar_ring is not None:
             assert batched_ring.events == scalar_ring.events
+
+    @pytest.mark.parametrize("case", sorted(STEM_ABLATIONS))
+    @pytest.mark.parametrize("workload", ["omnetpp", "vpr"])
+    def test_stem_ablation_batch_matches_scalar(self, workload, case):
+        # The batch loop's spatial, ratio and throttle branches differ
+        # per config; each must leave the scalar path's SCDM state.
+        # omnetpp thrashes a 16 x 4 cache (takers, couplings, swaps);
+        # vpr mostly hits, with givers posting to the heap.
+        geometry = CacheGeometry(num_sets=16, associativity=4)
+        trace = make_benchmark_trace(workload, num_sets=16, length=6_000,
+                                     write_fraction=0.3)
+        config = STEM_ABLATIONS[case]
+        scalar = make_scheme("stem", geometry, seed=7, config=config)
+        batched = make_scheme("stem", geometry, seed=7, config=config)
+        for address, write in zip(trace.addresses, trace.writes):
+            scalar.access(address, bool(write))
+        set_indices, tags = trace.precompute_geometry(batched.mapper)
+        batched.access_batch(trace.addresses, set_indices, tags,
+                             trace.writes, 0, len(trace.addresses))
+        assert _stem_snapshot(batched) == _stem_snapshot(scalar)
 
     @pytest.mark.parametrize("scheme", ["stem", "sbc", "vway", "pelifo",
                                         "dip"])

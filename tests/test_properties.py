@@ -155,8 +155,8 @@ class TestStemProperties:
     def test_shadow_sets_respect_capacity(self, stream):
         cache = StemCache(GEOMETRY)
         drive(cache, stream)
-        for monitor in cache.monitors:
-            assert len(monitor.shadow) <= GEOMETRY.associativity
+        for ranks in cache.shadow_order:
+            assert len(ranks) <= GEOMETRY.associativity
 
     @settings(max_examples=10, deadline=None)
     @given(stream=access_streams, seed=st.integers(1, 0xFFFF))

@@ -35,6 +35,17 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_sbc(saturation_limit=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"couple_threshold": 0},
+        {"couple_threshold": -3},
+        {"saturation_limit": 1},  # derives couple_threshold = 0
+    ], ids=["zero", "negative", "derived-zero"])
+    def test_rejects_non_positive_couple_threshold(self, kwargs):
+        # No set's saturation is below a threshold of 0 or less, so the
+        # cache would never couple and silently behave as plain LRU.
+        with pytest.raises(ConfigError, match="couple_threshold"):
+            make_sbc(**kwargs)
+
 
 class TestSaturationTracking:
     def test_misses_raise_saturation(self):

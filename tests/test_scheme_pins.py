@@ -24,8 +24,11 @@ and pins:
 
 Two fault campaigns under the CLI's default plan pin the order of
 mutations that STEM's safe mode heals after; two more glitch only the
-giver heap.  The package version is fixed so a release does not move
-the manifest hashes.
+giver heap; one more floods STEM's SCDM (SC_S, SC_T and shadow sets)
+with faults and pins the traced event stream as well as the report,
+recorded before the SCDM's monitor classes were folded into STEM's
+per-set state.  The package version is fixed so a release does not
+move the manifest hashes.
 """
 
 import hashlib
@@ -38,6 +41,7 @@ import pytest
 import repro.obs.manifest as manifest_module
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import StemConfig
+from repro.obs import RingBufferSink, Tracer
 from repro.obs.manifest import build_manifest
 from repro.resilience.campaign import run_fault_campaign
 from repro.sim.config import ExperimentScale, make_scheme
@@ -441,6 +445,18 @@ HEAP_FAULT_DIGESTS = {
         "77ff7de297196a6f82dc9b85bade3635c2d13c3f4064a8d2482fb1a4ea12279e",
 }
 
+#: A flood of SCDM faults on STEM over mcf at seed 3: 162 applied and
+#: four safe-mode entries, so safe mode's SCDM reset runs as well.
+SCDM_FAULT_PLAN = "sc_s:40,sc_t:40,shadow:80,association:2"
+SCDM_FAULT_SEED = 3
+
+#: sha256 of that campaign's report, and of the JSONL event stream its
+#: tracer saw followed by ``Tracer.events_emitted``.
+SCDM_FAULT_DIGESTS = (
+    "bf6e12174d269c87af7755419697d48474980896ad1006af8910617471f9a4e5",
+    "061ffc71579af63b44bbfccf3de128cb1aa6be78d69b3d23017743bac7251142",
+)
+
 
 @pytest.fixture(autouse=True)
 def fixed_version(monkeypatch):
@@ -465,8 +481,8 @@ def _stem_state(cache, sets):
                    for s in sets],
         "modes": [cache.policy_mode_of(s) for s in sets],
         "roles": [cache.role_of(s) for s in sets],
-        "sc_s": [monitor.sc_s.value for monitor in cache.monitors],
-        "sc_t": [monitor.sc_t.value for monitor in cache.monitors],
+        "sc_s": cache.sc_s,
+        "sc_t": cache.sc_t,
     }
 
 
@@ -566,3 +582,17 @@ def test_heap_fault_campaign_bytes(scheme):
     report = run_fault_campaign(scheme, "omnetpp", plan=HEAP_FAULT_PLAN,
                                 seed=HEAP_FAULT_SEED, scale=HEAP_FAULT_SCALE)
     assert _sha256(report.as_dict()) == HEAP_FAULT_DIGESTS[scheme]
+
+
+def test_scdm_fault_campaign_bytes():
+    sink = RingBufferSink()
+    tracer = Tracer(sink)
+    report = run_fault_campaign("stem", "mcf", plan=SCDM_FAULT_PLAN,
+                                seed=SCDM_FAULT_SEED, scale=FAULT_SCALE,
+                                tracer=tracer)
+    assert (report.faults_applied, report.safe_mode_entries) == (162, 4)
+    events = "".join(json.dumps(event.as_dict()) + "\n"
+                     for event in sink.events)
+    events += f"{tracer.events_emitted}\n"
+    assert (_sha256(report.as_dict()), _sha256(events.encode("utf-8"))) \
+        == SCDM_FAULT_DIGESTS

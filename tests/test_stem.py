@@ -1,7 +1,14 @@
 """Unit and behavioural tests for the STEM LLC."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cache.access import AccessKind
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
@@ -27,6 +34,32 @@ class TestConstruction:
     def test_needs_two_sets(self):
         with pytest.raises(ConfigError):
             StemCache(CacheGeometry(num_sets=1, associativity=4))
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="CPython 3.11's shared key table, as the "
+                               "benchmark runs it")
+    def test_plain_stem_after_safe_mode_keeps_inline_attributes(self):
+        # A safe-mode STEM built first fills the class's shared key
+        # table; a name that no longer fits (``seed``) would turn every
+        # later STEM's attributes into a dict (DESIGN.md §9).  A fresh
+        # interpreter, so the table starts empty.
+        script = textwrap.dedent("""
+            import gc
+            from repro.cache.geometry import CacheGeometry
+            from repro.core.config import StemConfig
+            from repro.sim.config import make_scheme
+            geometry = CacheGeometry(num_sets=4, associativity=4)
+            make_scheme("stem", geometry, config=StemConfig(safe_mode=True))
+            cache = make_scheme("stem", geometry)
+            print(any(isinstance(ref, dict) and "stats" in ref
+                      for ref in gc.get_referents(cache)))
+        """)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
