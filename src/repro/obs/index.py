@@ -16,7 +16,8 @@ Ingestion contract
   records), bench samples by ``(recorded_at, scheme)``, campaigns by
   spec digest.  Re-ingesting the same artifacts changes zero rows; the
   :class:`IngestReport` says exactly what was added, updated or left
-  unchanged.
+  unchanged.  A campaign cell whose journaled digest already keys a
+  run is not read from the run cache again.
 * **Torn-tail tolerant.**  Campaign journals are replayed through
   :func:`~repro.sim.campaign.replay_journal` and the bench ledger
   through :func:`~repro.obs.benchhistory.load_history`, both of which
@@ -306,26 +307,31 @@ class ArtifactIndex:
     ) -> bool:
         from repro.common.errors import ReproError
         from repro.sim.cache import load_run
+        from repro.sim.campaign import result_digest
 
         try:
             result = load_run(path)
         except ReproError:
             return False
-        self._ingest_result(result, source=str(path), report=report)
+        self._ingest_result(
+            result, result_digest(result), source=str(path), report=report
+        )
         return True
 
-    def _ingest_result(
-        self, result: Any, source: str, report: IngestReport
-    ) -> None:
-        from repro.sim.campaign import result_digest
+    def _holds_run(self, digest: str) -> bool:
+        """Whether a ``runs`` row is keyed by ``digest``."""
+        with self._lock:
+            return self._connection.execute(
+                "SELECT 1 FROM runs WHERE hash = ?", (digest,)
+            ).fetchone() is not None
 
-        digest = result_digest(result)
+    def _ingest_result(
+        self, result: Any, digest: str, source: str, report: IngestReport
+    ) -> None:
+        """Add ``result`` to ``runs`` unless its ``digest`` keys a row."""
         manifest = result.manifest
         with self._lock:
-            row = self._connection.execute(
-                "SELECT hash FROM runs WHERE hash = ?", (digest,)
-            ).fetchone()
-            if row is not None:
+            if self._holds_run(digest):
                 report.runs_unchanged += 1
                 return
             self._connection.execute(
@@ -412,7 +418,10 @@ class ArtifactIndex:
         tolerance; completed cells whose results are still present in
         the campaign's ``runcache/`` (digest-verified, exactly like
         resume) are ingested into the runs table so per-cell metrics
-        become queryable.
+        become queryable.  A cell whose journaled digest already keys a
+        ``runs`` row is counted unchanged without reading its entry:
+        that row was digest-verified when it landed.  Every entry that
+        is read is digested once.
         """
         from repro.common.errors import ReproError
         from repro.sim.cache import RunCache
@@ -451,13 +460,15 @@ class ArtifactIndex:
             len(quarantined) if isinstance(quarantined, list)
             else len(state.failed)
         )
-        completed = summary.get("completed", len(state.completed))
+        completed = summary.get("completed")
+        if isinstance(completed, bool) or not isinstance(completed, int):
+            completed = len(state.completed)
         self._upsert_campaign(
             report,
             digest=digest,
             name=name,
             total_cells=total if isinstance(total, int) else None,
-            completed=int(completed),
+            completed=completed,
             quarantined=quarantined_count,
             truncated=int(state.truncated),
             source=str(path),
@@ -489,13 +500,21 @@ class ArtifactIndex:
                 key = record.get("key")
                 if not isinstance(key, str):
                     continue
+                journaled = record.get("digest")
+                if isinstance(journaled, str) and self._holds_run(
+                    journaled
+                ):
+                    report.runs_unchanged += 1
+                    continue
                 result = cache.get(key)
                 if result is None:
                     continue
-                if result_digest(result) != record.get("digest"):
+                run_digest = result_digest(result)
+                if run_digest != journaled:
                     continue
                 self._ingest_result(
                     result,
+                    run_digest,
                     source=str(cache.path_for(key)),
                     report=report,
                 )

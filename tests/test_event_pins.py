@@ -13,6 +13,10 @@ Each cell runs 64 sets x 16 ways, 20k accesses, warm-up 0.25:
   ``RunLedger.as_dict`` (``events_seen`` and the attribution counters
   included) with the manifest's host, timing and version fields left
   out;
+* ``result_to_dict`` of a run without a ledger, plain and with
+  ``metrics_window=4096``, on omnetpp, the same manifest fields left
+  out (recorded while ``result_to_dict`` still built its payload with
+  ``dataclasses.asdict``);
 * the JSONL bytes of the event stream of a run traced into a
   :class:`RingBufferSink`, followed by that run's
   ``Tracer.events_emitted``.
@@ -129,6 +133,35 @@ WINDOWED_LEDGER_DIGEST = (
     "62b087f0bf9ebd8bbe0808bf6e71dfe2ed82df8067a91822b9449100e9ad2b01"
 )
 
+#: (scheme, metrics_window) -> result digest of a run on omnetpp
+#: without a ledger; window None is a plain run.
+UNLEDGERED_DIGESTS = {
+    ("LRU", None):
+        "ce7c173d1b29ba031930589c73262572d88c1c003584b4ad6150911f5701f2aa",
+    ("LRU", 4096):
+        "ac4330940edc6faf34ca4aa03c47eafcb7f0f5938c2b578ebe339c99464eb8d8",
+    ("DIP", None):
+        "b32933ea483043cc3f069e41803825b97bf36923c7941042e61c7b64c081deee",
+    ("DIP", 4096):
+        "5fc3f451a961660b7e1fb3e56d12965823f572a0f5b779943d92fa96ec31a270",
+    ("PeLIFO", None):
+        "3a8808b7f20497cc9b38e68b072d40f64764d300bc7c240e795a97182b62c76f",
+    ("PeLIFO", 4096):
+        "a0aa89b5c4fc634e33eac088c6e242374e0802fcf612f3d47becae019a246cde",
+    ("V-Way", None):
+        "1431939088205e28860f1aa2ee06bff17de02e53b64640d53581309c0e1e2686",
+    ("V-Way", 4096):
+        "4b9850217db6f392acbd85f865333a7204b1972d95bad3ec182fbbd9b747c88f",
+    ("SBC", None):
+        "2965d4424ea8f8fb20955559eeb3bce7b0f7b9b5bdd1c08f723e0164578fb95f",
+    ("SBC", 4096):
+        "99fbe2ed97cb331d3a11cd24b1ff280e0eb20461bc507e0b3be16ce36d51b16d",
+    ("STEM", None):
+        "4159cd4d74a1dcd3d74d70d2f9c5bb49c664cc57a4c17e603d388b20bfa78e8d",
+    ("STEM", 4096):
+        "0336107a6d10440352834a71c7814a8cfb95ead35f9717dfba0d6664495e6d10",
+}
+
 
 @lru_cache(maxsize=None)
 def _trace(benchmark):
@@ -139,10 +172,11 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def ledgered_digest(scheme, benchmark, metrics_window=None):
+def result_payload_digest(scheme, benchmark, metrics_window=None,
+                          ledger=True):
     cache = make_scheme(scheme, GEOMETRY)
     result = run_trace(cache, _trace(benchmark), warmup_fraction=WARMUP,
-                       ledger=True, metrics_window=metrics_window)
+                       ledger=ledger, metrics_window=metrics_window)
     payload = result_to_dict(result)
     for name in UNPINNED_MANIFEST_FIELDS:
         del payload["manifest"][name]
@@ -170,7 +204,7 @@ def test_every_cell_is_pinned():
 
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
 def test_ledgered_result_bytes(cell):
-    assert ledgered_digest(*cell) == DIGESTS[cell][0]
+    assert result_payload_digest(*cell) == DIGESTS[cell][0]
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=CELL_IDS)
@@ -184,5 +218,22 @@ def test_static_sbc_event_stream_bytes():
 
 
 def test_windowed_ledgered_result_bytes():
-    assert ledgered_digest("STEM", "omnetpp", metrics_window=4096) == \
-        WINDOWED_LEDGER_DIGEST
+    assert result_payload_digest(
+        "STEM", "omnetpp", metrics_window=4096
+    ) == WINDOWED_LEDGER_DIGEST
+
+
+UNLEDGERED_CELLS = [(scheme, window)
+                    for scheme in PAPER_SCHEMES for window in (None, 4096)]
+
+
+@pytest.mark.parametrize(
+    "cell", UNLEDGERED_CELLS,
+    ids=[f"{scheme}-{window or 'plain'}" for scheme, window in
+         UNLEDGERED_CELLS],
+)
+def test_unledgered_result_bytes(cell):
+    scheme, window = cell
+    assert result_payload_digest(
+        scheme, "omnetpp", metrics_window=window, ledger=False
+    ) == UNLEDGERED_DIGESTS[cell]

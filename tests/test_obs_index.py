@@ -146,6 +146,59 @@ class TestCampaignIngestion:
             index.ingest(campaign_dir)
             assert index.ingest(campaign_dir).changed == 0
 
+    def test_reingest_reads_nothing_it_holds(self, campaign_dir,
+                                             monkeypatch):
+        import repro.sim.campaign as campaign_module
+        from repro.sim.cache import RunCache
+
+        calls = {"get": 0, "digest": 0}
+        get, digest = RunCache.get, campaign_module.result_digest
+
+        def counted_get(self, key):
+            calls["get"] += 1
+            return get(self, key)
+
+        def counted_digest(result):
+            calls["digest"] += 1
+            return digest(result)
+
+        monkeypatch.setattr(RunCache, "get", counted_get)
+        monkeypatch.setattr(campaign_module, "result_digest",
+                            counted_digest)
+        with ArtifactIndex(":memory:") as index:
+            first = index.ingest(campaign_dir)
+            assert first.runs_added == 2
+            # One read and one digest per run the index lacked.
+            assert calls == {"get": 2, "digest": 2}
+            calls.update(get=0, digest=0)
+            again = index.ingest(campaign_dir)
+        assert calls == {"get": 0, "digest": 0}
+        assert again.runs_unchanged == 2
+        assert again.changed == 0
+
+    @pytest.mark.parametrize("completed", [None, "abc", 1.5, True])
+    def test_malformed_summary_completed_falls_back_to_journal(
+        self, campaign_dir, tmp_path, completed, capsys
+    ):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(campaign_dir, broken)
+        summary_path = broken / "summary.json"
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        summary["completed"] = completed
+        summary_path.write_text(json.dumps(summary), encoding="utf-8")
+        with ArtifactIndex(":memory:") as index:
+            report = index.ingest(broken)
+            (campaign,) = index.campaigns()
+        assert report.skipped == []
+        assert report.runs_added == 2
+        # The journal's two cell_done records stand in.
+        assert campaign["completed"] == 2
+        db = tmp_path / "index.sqlite"
+        assert main(["index", "ingest", str(broken), "--db", str(db)]) == 0
+        assert "runs: 2 added" in capsys.readouterr().out
+
     def test_torn_journal_tail_is_tolerated(self, campaign_dir, tmp_path):
         import shutil
 
