@@ -41,27 +41,18 @@ from repro.common.hashing import H3Hash
 from repro.common.rng import Lfsr
 from repro.core.config import StemConfig
 from repro.obs.events import (
-    CoopHit,
-    Coupling,
     Decoupling,
     Eviction,
     PolicySwap,
     SafeModeEntry,
     ShadowHit,
-    Spill,
     SpillReject,
 )
 from repro.obs.tracer import Tracer
-from repro.spatial.association import AssociationTable
-from repro.spatial.cooperative import CooperativeSets
-from repro.spatial.heap import GiverHeap
+from repro.spatial.cooperative import GIVER, TAKER, UNCOUPLED, CoupledSets
 
 _MODE_LRU = 0
 _MODE_BIP = 1
-
-_UNCOUPLED = 0
-_TAKER = 1
-_GIVER = 2
 
 #: Exception classes the safe-mode access path treats as recoverable
 #: corruption symptoms.  Structured invariant errors are the designed
@@ -71,7 +62,7 @@ _GIVER = 2
 _RECOVERABLE = (SimulationError, IndexError, KeyError, ValueError, TypeError)
 
 
-class StemCache(CooperativeSets):
+class StemCache(CoupledSets):
     """SpatioTEmporally Managed last level cache.
 
     Its instance attributes are at CPython 3.11's shared-key budget
@@ -90,12 +81,13 @@ class StemCache(CooperativeSets):
     ) -> None:
         if geometry.num_sets < 2:
             raise ConfigError("STEM needs at least two sets to couple")
-        super().__init__(geometry, rng, tracer)
-        self.config = config if config is not None else StemConfig()
+        config = config if config is not None else StemConfig()
+        super().__init__(geometry, config.heap_capacity, rng, tracer)
+        self.config = config
         self._hash = H3Hash(
             in_bits=geometry.tag_bits,
-            out_bits=self.config.shadow_tag_bits,
-            seed=self.config.hash_seed,
+            out_bits=config.shadow_tag_bits,
+            seed=config.hash_seed,
         )
         num_sets = geometry.num_sets
         # Temporal state: per-set policy mode, starting from LRU.
@@ -108,20 +100,12 @@ class StemCache(CooperativeSets):
         self.sc_t: List[int] = [0] * num_sets
         self.shadow_order: List[List[int]] = [[] for _ in range(num_sets)]
         self.shadow_members: List[Set[int]] = [set() for _ in range(num_sets)]
-        # Spatial state: pairing and the candidate-giver heap.
-        self.association = AssociationTable(num_sets)
-        self.heap = GiverHeap(self.config.heap_capacity)
-        self._coupled_role: List[int] = [_UNCOUPLED] * num_sets
         # Resilience state: sets pinned to plain LRU after recovery.
         self._in_safe_mode: List[bool] = [False] * num_sets
-        # Attribution counters for the capacity-flow ledger, maintained
-        # only under the tracer guard (zero cost when tracing is off)
-        # and zeroed with the stats so they cover the measured window.
-        # Underscore-prefixed: the manifest's scheme hash ignores them.
-        self._led_hits: List[int] = [0] * num_sets
-        self._led_coop: List[int] = [0] * num_sets
+        # The ledger's local hits taken under BIP, beside the engine's
+        # hit counters and kept the same way.
         self._led_bip: List[int] = [0] * num_sets
-        if self.config.safe_mode:
+        if config.safe_mode:
             # Shadow the class method with the guarded path so the
             # default configuration pays zero overhead per access.
             self.access = self._guarded_access  # type: ignore[method-assign]
@@ -165,7 +149,7 @@ class StemCache(CooperativeSets):
             if (
                 value < config.giver_bit
                 and config.enable_spatial
-                and self._coupled_role[set_index] == _UNCOUPLED
+                and self._role[set_index] == UNCOUPLED
                 and not self._in_safe_mode[set_index]
             ):
                 self.heap.offer(set_index, value)
@@ -179,41 +163,20 @@ class StemCache(CooperativeSets):
         the hot local-hit path and fall into exactly this code on a miss.
         The common case of the fill is inlined: the demand victim's
         removal, its write-back and shadow capture, the install, the
-        policy-swap check and the giver posting.  Coupling, spill, spill
-        reject and the cooperative drop stay calls.  Every mutation and
-        LFSR draw keeps the controller's order (the shadow rank is drawn
-        before the fill rank; the victim leaves its set before any
-        coupling, spill or shadow capture), because safe mode heals
-        whatever state an exception leaves behind.
+        policy-swap check and the giver posting.  The partner probe,
+        coupling, spill, spill reject and the cooperative drop stay
+        calls.  Every mutation and LFSR draw keeps the controller's
+        order (the shadow rank is drawn before the fill rank; the victim
+        leaves its set before any coupling, spill or shadow capture),
+        because safe mode heals whatever state an exception leaves
+        behind.
         """
         stats = self.stats
-        roles = self._coupled_role
+        roles = self._role
         tracer = self.tracer
-        probed_coop = False
-        if roles[set_index] == _TAKER:
-            giver = self.association.partner_of(set_index)
-            probed_coop = True
-            coop_way = self._lookup[giver].get((tag << 1) | 1)
-            if coop_way is not None:
-                stats.hits += 1
-                stats.cooperative_hits += 1
-                if tracer.enabled:
-                    # Credit the taker: its access was saved.  The hit
-                    # is spatial, never temporal, even under BIP.
-                    self._led_hits[set_index] += 1
-                    self._led_coop[set_index] += 1
-                    tracer.emit(CoopHit(
-                        access=stats.accesses,
-                        set_index=set_index,
-                        global_access=self._access_base + stats.accesses,
-                        giver=giver,
-                    ))
-                if is_write:
-                    self._dirty[giver][coop_way] = True
-                order = self._order[giver]
-                order.remove(coop_way)
-                order.append(coop_way)
-                return AccessKind.COOP_HIT
+        probed_coop = roles[set_index] == TAKER
+        if probed_coop and self._probe_partner(set_index, tag, is_write):
+            return AccessKind.COOP_HIT
         stats.misses += 1
         if probed_coop:
             stats.misses_double_probe += 1
@@ -281,7 +244,7 @@ class StemCache(CooperativeSets):
             else:
                 if (
                     config.enable_spatial
-                    and roles[set_index] == _UNCOUPLED
+                    and roles[set_index] == UNCOUPLED
                     and not self._in_safe_mode[set_index]
                     and sc_s[set_index] == counter_max
                 ):
@@ -291,7 +254,7 @@ class StemCache(CooperativeSets):
                     self._try_couple(set_index)
                 spilled = False
                 if (
-                    roles[set_index] == _TAKER
+                    roles[set_index] == TAKER
                     and sc_s[set_index] >= config.giver_bit
                 ):
                     giver = self.association.partner_of(set_index)
@@ -350,7 +313,7 @@ class StemCache(CooperativeSets):
             sc_t[set_index] = 0
         if (
             config.enable_spatial
-            and roles[set_index] == _UNCOUPLED
+            and roles[set_index] == UNCOUPLED
             and not self._in_safe_mode[set_index]
         ):
             value = sc_s[set_index]
@@ -387,7 +350,7 @@ class StemCache(CooperativeSets):
         dirty_rows = self._dirty
         sc_s = self.sc_s
         sc_t = self.sc_t
-        roles = self._coupled_role
+        roles = self._role
         safe = self._in_safe_mode
         heap_offer = self.heap.offer
         rng = self.rng
@@ -481,57 +444,6 @@ class StemCache(CooperativeSets):
             else:
                 tracer.unread += 1
 
-    def _drop_cooperative(self, giver: int, victim_tag: int, dirty: bool) -> None:
-        """A giver evicted one of its taker's blocks off-chip."""
-        taker = self.association.partner_of(giver)
-        if dirty:
-            self.stats.writebacks += 1
-        # The block leaves the chip: file it in its *owner's* shadow set
-        # so the taker's capacity demand keeps being measured.
-        self.shadow_insert(
-            taker, self._hash(victim_tag), self._shadow_insert_at_mru(taker)
-        )
-        self._cc_count[giver] -= 1
-        if self._cc_count[giver] == 0:
-            self._decouple(taker, giver)
-
-    def _spill(self, taker: int, giver: int, tag: int, dirty: bool) -> None:
-        """Displace a taker victim into the giver (inter-set caching)."""
-        self.stats.spills += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(Spill(
-                access=self.stats.accesses,
-                set_index=taker,
-                global_access=self._access_base + self.stats.accesses,
-                giver=giver,
-                tag=tag,
-                dirty=dirty,
-            ))
-        free = self._free[giver]
-        if free:
-            way = free.pop()
-        else:
-            way = self._order[giver][0]
-            victim_key = self._way_key[giver][way]
-            victim_dirty = self._dirty[giver][way]
-            self._remove(giver, way)
-            if victim_key & 1:
-                # Replacing one of the taker's blocks with another; no
-                # decouple check, the insert below restores the count.
-                if victim_dirty:
-                    self.stats.writebacks += 1
-                self.shadow_insert(
-                    taker,
-                    self._hash(victim_key >> 1),
-                    self._shadow_insert_at_mru(taker),
-                )
-                self._cc_count[giver] -= 1
-            else:
-                self._evict_off_chip(giver, victim_key >> 1, victim_dirty)
-        self._install(giver, way, (tag << 1) | 1, dirty)
-        self._cc_count[giver] += 1
-
     def _install(self, set_index: int, way: int, key: int, dirty: bool) -> None:
         """Place a block and rank it per the set's current policy mode."""
         self._lookup[set_index][key] = way
@@ -548,24 +460,21 @@ class StemCache(CooperativeSets):
             return True
         return self.rng.one_in(self.config.bip_throttle_bits)
 
-    def _shadow_insert_at_mru(self, set_index: int) -> bool:
-        """Insertion rank in the shadow set (opposite policy, §4.3)."""
-        shadow_mode = self._mode[set_index]
+    def _off_chip(self, owner: int, tag: int) -> None:
+        """File the signature of ``owner``'s block leaving the chip.
+
+        The shadow ranks it per its own policy, the opposite of the
+        set's (§4.3).  A cooperative block goes to its owner's shadow,
+        so the taker's capacity demand keeps being measured.
+        """
+        signature = self._hash(tag)
+        shadow_mode = self._mode[owner]
         if self.config.invert_shadow_policy:
             shadow_mode ^= 1
-        if shadow_mode == _MODE_LRU:
-            return True
-        return self.rng.one_in(self.config.bip_throttle_bits)
-
-    def _evict_off_chip(self, set_index: int, victim_tag: int, dirty: bool) -> None:
-        """A local block leaves the chip: write back + shadow capture."""
-        if dirty:
-            self.stats.writebacks += 1
-        self.shadow_insert(
-            set_index,
-            self._hash(victim_tag),
-            self._shadow_insert_at_mru(set_index),
+        at_mru = shadow_mode == _MODE_LRU or self.rng.one_in(
+            self.config.bip_throttle_bits
         )
+        self.shadow_insert(owner, signature, at_mru)
 
     def shadow_insert(self, set_index: int, signature: int, at_mru: bool) -> None:
         """File ``signature`` in the set's shadow at the MRU or LRU rank.
@@ -586,66 +495,12 @@ class StemCache(CooperativeSets):
         else:
             ranks.insert(0, signature)
 
-    # ------------------------------------------------------------------
-    # Coupling management
-    # ------------------------------------------------------------------
-
-    def _try_couple(self, taker: int) -> Optional[int]:
-        def _valid(candidate: int) -> bool:
-            # The bounds check tolerates glitched heap slots naming
-            # nonexistent sets — lazy validation drops them as stale.
-            return (
-                isinstance(candidate, int)
-                and 0 <= candidate < self.geometry.num_sets
-                and candidate != taker
-                and not self._in_safe_mode[candidate]
-                and self._coupled_role[candidate] == _UNCOUPLED
-                and self.sc_s[candidate] < self.config.giver_bit
-            )
-
-        giver = self.heap.pop_best(_valid)
-        if giver is None:
-            return None
-        self.association.couple(taker, giver)
-        self._coupled_role[taker] = _TAKER
-        self._coupled_role[giver] = _GIVER
-        self.heap.remove(taker)
-        self.stats.couplings += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(Coupling(
-                access=self.stats.accesses,
-                set_index=taker,
-                global_access=self._access_base + self.stats.accesses,
-                giver=giver,
-            ))
-        return giver
-
-    def _decouple(self, taker: int, giver: int) -> None:
-        self.association.decouple(taker, giver)
-        self._coupled_role[taker] = _UNCOUPLED
-        self._coupled_role[giver] = _UNCOUPLED
-        self.stats.decouplings += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            # The pair dissolves when the giver drains its last
-            # cooperative block.  If the giver still qualifies as a
-            # giver the taker simply stopped re-referencing its spilled
-            # blocks; otherwise the giver's own demand recovered,
-            # receiving control cut the inflow, and the drain follows
-            # from that role change.
-            reason = (
-                "giver_drained"
-                if self.sc_s[giver] < self.config.giver_bit
-                else "role_change"
-            )
-            tracer.emit(Decoupling(
-                access=self.stats.accesses,
-                set_index=taker,
-                global_access=self._access_base + self.stats.accesses,
-                giver=giver,
-                reason=reason,
-            ))
+    def _gives(self, set_index: int) -> bool:
+        """SC_S's MSB is clear and the set is not pinned to plain LRU."""
+        return (
+            self.sc_s[set_index] < self.config.giver_bit
+            and not self._in_safe_mode[set_index]
+        )
 
     # ------------------------------------------------------------------
     # Safe mode: detect corruption, repair, degrade to per-set LRU
@@ -733,9 +588,9 @@ class StemCache(CooperativeSets):
         if sorted(self._order[set_index]) != sorted(table.values()):
             return False
         cc_blocks = sum(1 for key in table if key & 1)
-        role = self._coupled_role[set_index]
+        role = self._role[set_index]
         coupled = self.association.is_coupled(set_index)
-        if role == _GIVER:
+        if role == GIVER:
             return (
                 coupled
                 and cc_blocks == self._cc_count[set_index]
@@ -743,9 +598,9 @@ class StemCache(CooperativeSets):
             )
         if cc_blocks or self._cc_count[set_index]:
             return False
-        if role == _TAKER:
+        if role == TAKER:
             partner = self.association.partner_of(set_index)
-            return partner is not None and self._coupled_role[partner] == _GIVER
+            return partner is not None and self._role[partner] == GIVER
         return not coupled
 
     def _enter_safe_mode(self, set_index: int, reason: str) -> None:
@@ -767,10 +622,10 @@ class StemCache(CooperativeSets):
                 # association already dissolved above).
                 tracer = self.tracer
                 if tracer.enabled:
-                    role = self._coupled_role[set_index]
-                    if role == _TAKER:
+                    role = self._role[set_index]
+                    if role == TAKER:
                         pair = (set_index, partner)
-                    elif role == _GIVER:
+                    elif role == GIVER:
                         pair = (partner, set_index)
                     else:
                         pair = None  # glitched pairing with no roles
@@ -784,7 +639,7 @@ class StemCache(CooperativeSets):
                             giver=pair[1],
                             reason="safe_mode",
                         ))
-        self._coupled_role[set_index] = _UNCOUPLED
+        self._role[set_index] = UNCOUPLED
         self._rebuild_set(set_index)
         # The set's capacity-demand history is untrustworthy: both
         # counters restart at zero and the shadow set is emptied.
@@ -866,10 +721,6 @@ class StemCache(CooperativeSets):
         """'LRU' or 'BIP' — the set's current temporal policy."""
         return "LRU" if self._mode[set_index] == _MODE_LRU else "BIP"
 
-    def role_of(self, set_index: int) -> str:
-        """Coupling role: 'uncoupled', 'taker' or 'giver'."""
-        return ("uncoupled", "taker", "giver")[self._coupled_role[set_index]]
-
     def shadow_entries(self, set_index: int) -> List[ShadowView]:
         """Views of the valid shadow signatures of ``set_index``."""
         return [
@@ -893,7 +744,7 @@ class StemCache(CooperativeSets):
         takers = sum(1 for value in sc_s if value == counter_max)
         givers = sum(1 for value in sc_s if value < self.config.giver_bit)
         coupled_pairs = sum(
-            1 for role in self._coupled_role if role == _TAKER
+            1 for role in self._role if role == TAKER
         )
         return {
             "occupancy_fraction": filled / capacity,
@@ -911,96 +762,38 @@ class StemCache(CooperativeSets):
         return {"occupancy": [len(table) for table in self._lookup]}
 
     def ledger_counters(self) -> Dict[str, List[int]]:
-        """Per-set attribution counters for the capacity-flow ledger.
+        """The engine's hit counters plus ``swapped_policy_hits``.
 
-        Maintained only while a tracer is attached (all zeros
-        otherwise) and zeroed by :meth:`reset_stats`, so they cover
-        exactly the measured window — matching ``stats``: the per-set
-        hits sum to ``stats.hits``, the cooperative hits to
-        ``stats.cooperative_hits``.  ``swapped_policy_hits`` counts
-        local hits taken while the set's insertion policy was BIP —
-        the temporal component :mod:`repro.obs.explain` reports.
+        ``swapped_policy_hits`` counts local hits taken while the set's
+        insertion policy was BIP — the temporal component
+        :mod:`repro.obs.explain` reports.
         """
-        return {
-            "hits": list(self._led_hits),
-            "cooperative_hits": list(self._led_coop),
-            "swapped_policy_hits": list(self._led_bip),
-        }
+        counters = super().ledger_counters()
+        counters["swapped_policy_hits"] = list(self._led_bip)
+        return counters
 
     def reset_stats(self) -> None:
         """Zero statistics and the ledger counters; the clock runs on."""
         super().reset_stats()
-        num_sets = self.geometry.num_sets
-        self._led_hits = [0] * num_sets
-        self._led_coop = [0] * num_sets
-        self._led_bip = [0] * num_sets
+        self._led_bip = [0] * self.geometry.num_sets
 
-    def check_invariants(self) -> None:
-        """Verify structural consistency; used by property tests.
-
-        Raises :class:`InvariantViolation` on the first inconsistency —
-        never ``assert`` — so the checks work under ``python -O`` and
-        safe mode can catch and repair instead of crashing.
-        """
-        self.association.check_invariants()
-        for set_index in range(self.geometry.num_sets):
-            table = self._lookup[set_index]
-            cc_blocks = sum(1 for key in table if key & 1)
-            role = self._coupled_role[set_index]
-            if role == _GIVER:
-                if cc_blocks != self._cc_count[set_index]:
-                    raise InvariantViolation(
-                        f"set {set_index}: cc bookkeeping mismatch "
-                        f"({cc_blocks} blocks vs count "
-                        f"{self._cc_count[set_index]})"
-                    )
-                if not self.association.is_coupled(set_index):
-                    raise InvariantViolation(
-                        f"set {set_index}: giver role without a pairing"
-                    )
-                if self._cc_count[set_index] <= 0:
-                    raise InvariantViolation(
-                        f"set {set_index}: coupled giver with no cc blocks"
-                    )
-            elif cc_blocks != 0:
+    def _check_set(self, set_index: int) -> None:
+        """The engine's checks, then the set's SCDM."""
+        super()._check_set(set_index)
+        ranks = self.shadow_order[set_index]
+        if len(ranks) > self.geometry.associativity:
+            raise InvariantViolation(
+                f"set {set_index}: shadow set exceeds associativity"
+            )
+        members = self.shadow_members[set_index]
+        if len(ranks) != len(members) or set(ranks) != members:
+            raise InvariantViolation(
+                f"set {set_index}: shadow order disagrees with its members"
+            )
+        counter_max = self.config.counter_max
+        for name, counters in (("SC_S", self.sc_s), ("SC_T", self.sc_t)):
+            if not 0 <= counters[set_index] <= counter_max:
                 raise InvariantViolation(
-                    f"set {set_index}: cooperative blocks in a non-giver"
+                    f"set {set_index}: {name} {counters[set_index]} "
+                    f"outside [0, {counter_max}]"
                 )
-            if role == _TAKER:
-                partner = self.association.partner_of(set_index)
-                if partner is None:
-                    raise InvariantViolation(
-                        f"set {set_index}: taker role without a pairing"
-                    )
-                if self._coupled_role[partner] != _GIVER:
-                    raise InvariantViolation(
-                        f"set {set_index}: partner {partner} is not a giver"
-                    )
-            occupancy = len(table) + len(self._free[set_index])
-            if occupancy != self.geometry.associativity:
-                raise InvariantViolation(
-                    f"set {set_index}: occupancy {occupancy} != "
-                    f"associativity {self.geometry.associativity}"
-                )
-            if sorted(self._order[set_index]) != sorted(table.values()):
-                raise InvariantViolation(
-                    f"set {set_index}: recency order disagrees with the "
-                    "lookup table"
-                )
-            ranks = self.shadow_order[set_index]
-            if len(ranks) > self.geometry.associativity:
-                raise InvariantViolation(
-                    f"set {set_index}: shadow set exceeds associativity"
-                )
-            members = self.shadow_members[set_index]
-            if len(ranks) != len(members) or set(ranks) != members:
-                raise InvariantViolation(
-                    f"set {set_index}: shadow order disagrees with its "
-                    "members"
-                )
-            for name, counters in (("SC_S", self.sc_s), ("SC_T", self.sc_t)):
-                if not 0 <= counters[set_index] <= self.config.counter_max:
-                    raise InvariantViolation(
-                        f"set {set_index}: {name} {counters[set_index]} "
-                        f"outside [0, {self.config.counter_max}]"
-                    )

@@ -642,7 +642,12 @@ class JournalState:
 
 
 def replay_journal(path: Union[str, Path]) -> JournalState:
-    """Fold journal records into per-cell terminal state (last wins)."""
+    """Fold journal records into per-cell terminal state (last wins).
+
+    A cell record is ignored unless its ``cell`` is an integer; a
+    ``cell_done`` also needs a string ``digest`` and a ``cell_failed``
+    an object ``failure``, the fields every reader of the state takes.
+    """
     records, truncated = load_journal(path)
     state = JournalState(truncated=truncated, records=len(records))
     for record in records:
@@ -657,12 +662,16 @@ def replay_journal(path: Union[str, Path]) -> JournalState:
                 state.started[index] = str(record.get("id", ""))
         elif kind == "cell_done":
             index = record.get("cell")
-            if isinstance(index, int):
+            if isinstance(index, int) and isinstance(
+                record.get("digest"), str
+            ):
                 state.completed[index] = record
                 state.failed.pop(index, None)
         elif kind == "cell_failed":
             index = record.get("cell")
-            if isinstance(index, int):
+            if isinstance(index, int) and isinstance(
+                record.get("failure"), dict
+            ):
                 state.failed[index] = record
                 state.completed.pop(index, None)
         # campaign_resume / campaign_end carry no per-cell state.
@@ -869,7 +878,8 @@ def run_campaign(
     Traces are synthesised only for the cells left to execute, after
     the journal's ``campaign_start``/``campaign_resume`` record, across
     the same ``jobs`` worker processes that then run the cells: a
-    complete resume synthesises nothing and starts no worker.
+    complete resume synthesises nothing, starts no worker and appends
+    nothing to the journal.
 
     Returns a :class:`CampaignOutcome`; a quarantined cell never raises
     — it is reported in ``matrix.txt``, ``summary.json``, the HTML
@@ -933,13 +943,14 @@ def run_campaign(
         pending.append(cell)
 
     cell_ids = {cell.index: cell.cell_id for cell in cells}
+    starts = state.records == 0
     with CampaignJournal(journal_path) as journal:
-        if state.records == 0:
+        if starts:
             journal.append(
                 "campaign_start", format=JOURNAL_FORMAT, name=spec.name,
                 spec_digest=digest, total_cells=len(cells),
             )
-        else:
+        elif pending:
             journal.append("campaign_resume", pending=len(pending))
         if pending:
             runner = ParallelRunner(
@@ -968,11 +979,12 @@ def run_campaign(
                         cell=cell.index, cell_id=cell.cell_id,
                         failure=outcome,
                     )
-        journal.append(
-            "campaign_end",
-            completed=len(cells) - len(quarantined),
-            quarantined=sorted(quarantined),
-        )
+        if starts or pending:
+            journal.append(
+                "campaign_end",
+                completed=len(cells) - len(quarantined),
+                quarantined=sorted(quarantined),
+            )
 
     matrix = ResultMatrix()
     for cell, outcome in zip(cells, outcomes):
@@ -1079,7 +1091,7 @@ def campaign_status(directory: Union[str, Path]) -> str:
     if state.truncated:
         lines.append(
             "journal tail is torn (crash mid-append) — tolerated; "
-            "resume re-runs the affected cell"
+            "resume re-runs any cell the torn record finished"
         )
     for index in sorted(state.failed):
         record = state.failed[index]

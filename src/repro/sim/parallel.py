@@ -61,6 +61,9 @@ from repro.sim.results import RunFailure
 from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.trace import Trace
 
+#: Seconds between two ``status.json`` refreshes of a telemetry run.
+STATUS_INTERVAL = 1.0
+
 #: One cell outcome: a finished run or a structured failure record.
 CellOutcome = Union[RunResult, RunFailure]
 
@@ -283,10 +286,10 @@ class ParallelRunner:
     directory, plans every cell, ships a :class:`TelemetrySpec` into
     each worker (whose :class:`CellTelemetry` writes spans, heartbeats
     and resource samples), records completions, and refreshes the
-    machine-readable ``status.json`` at most every ``status_interval``
-    seconds — the surface ``repro top`` renders.  Telemetry never
-    influences outcomes: matrices are byte-identical with it on or off,
-    serial or parallel.
+    machine-readable ``status.json`` at most every
+    :data:`STATUS_INTERVAL` seconds — the surface ``repro top``
+    renders.  Telemetry never influences outcomes: matrices are
+    byte-identical with it on or off, serial or parallel.
     """
 
     def __init__(
@@ -295,7 +298,6 @@ class ParallelRunner:
         run_cache: Optional[Any] = None,
         profiler: Optional[RunProfiler] = None,
         telemetry_dir: Optional[Any] = None,
-        status_interval: float = 1.0,
         observer: Optional[CellObserver] = None,
     ) -> None:
         _check_workers(max_workers)
@@ -303,7 +305,6 @@ class ParallelRunner:
         self.run_cache = run_cache
         self.profiler = profiler
         self.telemetry_dir = telemetry_dir
-        self.status_interval = status_interval
         self.observer = observer
 
     def run(self, specs: Sequence[CellSpec]) -> List[CellOutcome]:
@@ -371,7 +372,7 @@ class ParallelRunner:
                 "failed" if isinstance(outcome, RunFailure) else "ok",
             )
             now = perf_counter()
-            if now - last_status >= self.status_interval:
+            if now - last_status >= STATUS_INTERVAL:
                 last_status = now
                 self._write_status(grid)
 

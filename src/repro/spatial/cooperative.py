@@ -1,4 +1,4 @@
-"""The block store shared by SBC, static SBC and STEM.
+"""The block store and coupling engine shared by SBC, static SBC and STEM.
 
 All three cache a set's victims in a coupled partner set and probe that
 set again on a miss.  :class:`CooperativeSets` holds what they share:
@@ -7,21 +7,39 @@ bit marks a block cooperatively cached for the partner; the recency
 order, LRU first; the per-set count of cooperative blocks; and the
 operations that install, promote, remove and spill blocks.
 
-Each scheme subclasses it and keeps its own access path, batch loop,
-miss half, coupling and invariants.  The hot loops bind the per-set
-lists below to locals, so their names are part of the contract.
+SBC and STEM also pair sets at run time, and :class:`CoupledSets` holds
+that half (the paper's §4.5–4.7): the association table, the heap of
+candidate givers and one role per set; coupling a taker with the least
+saturated valid giver, the probe a taker's miss makes into its giver,
+the drop of a cooperative block off chip and the decoupling once the
+giver drains; the ledger hit counters; and the coupling, occupancy and
+recency invariants.  SBC calls a taker a source and a giver a
+destination.  Each scheme says which sets may give (:meth:`_gives`) and
+keeps its own access path, batch loop and miss half, which inline the
+demand eviction and call into the engine.  A block leaving the chip
+goes through :meth:`_off_chip`, where STEM files its signature.  The
+hot loops bind the per-set lists below to locals, so their names are
+part of the contract.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.cache.block import BlockView
 from repro.cache.geometry import CacheGeometry
+from repro.common.errors import InvariantViolation
 from repro.common.rng import Lfsr
 from repro.common.stats import CacheStats
-from repro.obs.events import Eviction, Spill
+from repro.obs.events import CoopHit, Coupling, Decoupling, Eviction, Spill
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.spatial.association import AssociationTable
+from repro.spatial.heap import GiverHeap
+
+#: Per-set coupling roles (:attr:`CoupledSets._role`).
+UNCOUPLED = 0
+TAKER = 1
+GIVER = 2
 
 
 class CooperativeSets:
@@ -125,9 +143,15 @@ class CooperativeSets:
                 # Replacing one cooperative block with another keeps the
                 # pair alive: adjust the count without a decouple check
                 # because the insert below restores it.
+                self._off_chip(source, victim_key >> 1)
                 self._cc_count[dest] -= 1
+            else:
+                self._off_chip(dest, victim_key >> 1)
         self._install(dest, way, (tag << 1) | 1, dirty)
         self._cc_count[dest] += 1
+
+    def _off_chip(self, owner: int, tag: int) -> None:
+        """A block of ``owner`` left the chip (STEM files its signature)."""
 
     # ------------------------------------------------------------------
     # Inspection
@@ -161,3 +185,226 @@ class CooperativeSets:
         """
         self._access_base += self.stats.accesses
         self.stats = CacheStats()
+
+
+class CoupledSets(CooperativeSets):
+    """A block store whose sets pair up at run time, taker with giver."""
+
+    #: :meth:`role_of` names for UNCOUPLED, TAKER and GIVER.
+    _ROLE_NAMES = ("uncoupled", "taker", "giver")
+
+    def __init__(
+        self,
+        geometry: CacheGeometry,
+        heap_capacity: int,
+        rng: Optional[Lfsr] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        super().__init__(geometry, rng, tracer)
+        num_sets = geometry.num_sets
+        self.association = AssociationTable(num_sets)
+        self.heap = GiverHeap(heap_capacity)
+        self._role: List[int] = [UNCOUPLED] * num_sets
+        # Ledger attribution counters, kept only under the tracer guard
+        # and zeroed with the stats so they cover the measured window.
+        # Underscore-prefixed: the manifest's scheme hash ignores them.
+        self._led_hits: List[int] = [0] * num_sets
+        self._led_coop: List[int] = [0] * num_sets
+
+    def _gives(self, set_index: int) -> bool:
+        """Whether ``set_index`` qualifies as a giver.
+
+        The heap validator asks before coupling, the decouple reason
+        after the drain.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Coupling
+    # ------------------------------------------------------------------
+
+    def _try_couple(self, taker: int) -> Optional[int]:
+        """Pair ``taker`` with the least saturated valid giver, if any."""
+        num_sets = self.geometry.num_sets
+        roles = self._role
+        gives = self._gives
+
+        def _valid(candidate: int) -> bool:
+            # The bounds check tolerates glitched heap slots naming
+            # nonexistent sets — lazy validation drops them as stale.
+            return (
+                isinstance(candidate, int)
+                and 0 <= candidate < num_sets
+                and candidate != taker
+                and roles[candidate] == UNCOUPLED
+                and gives(candidate)
+            )
+
+        giver = self.heap.pop_best(_valid)
+        if giver is None:
+            return None
+        self.association.couple(taker, giver)
+        roles[taker] = TAKER
+        roles[giver] = GIVER
+        self.heap.remove(taker)
+        stats = self.stats
+        stats.couplings += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(Coupling(
+                access=stats.accesses,
+                set_index=taker,
+                global_access=self._access_base + stats.accesses,
+                giver=giver,
+            ))
+        return giver
+
+    def _decouple(self, taker: int, giver: int) -> None:
+        self.association.decouple(taker, giver)
+        roles = self._role
+        roles[taker] = UNCOUPLED
+        roles[giver] = UNCOUPLED
+        stats = self.stats
+        stats.decouplings += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            # The pair dissolves when the giver drains its last
+            # cooperative block.  A giver that still gives saw the
+            # taker stop re-referencing its blocks; one that no longer
+            # does saw its own demand recover (a role change), and the
+            # drain followed from that.
+            reason = "giver_drained" if self._gives(giver) else "role_change"
+            tracer.emit(Decoupling(
+                access=stats.accesses,
+                set_index=taker,
+                global_access=self._access_base + stats.accesses,
+                giver=giver,
+                reason=reason,
+            ))
+
+    def _probe_partner(self, taker: int, tag: int, is_write: bool) -> bool:
+        """A taker's miss probes its giver; True on a cooperative hit."""
+        giver = self.association.partner_of(taker)
+        way = self._lookup[giver].get((tag << 1) | 1)
+        if way is None:
+            return False
+        stats = self.stats
+        stats.hits += 1
+        stats.cooperative_hits += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            # Credit the taker: its access was saved.  The hit is
+            # spatial, never temporal, whatever the taker's policy.
+            self._led_hits[taker] += 1
+            self._led_coop[taker] += 1
+            tracer.emit(CoopHit(
+                access=stats.accesses,
+                set_index=taker,
+                global_access=self._access_base + stats.accesses,
+                giver=giver,
+            ))
+        if is_write:
+            self._dirty[giver][way] = True
+        order = self._order[giver]
+        order.remove(way)
+        order.append(way)
+        return True
+
+    def _drop_cooperative(self, giver: int, tag: int, dirty: bool) -> None:
+        """The giver evicted one of its taker's blocks off chip."""
+        taker = self.association.partner_of(giver)
+        if dirty:
+            self.stats.writebacks += 1
+        self._off_chip(taker, tag)
+        cc_count = self._cc_count
+        cc_count[giver] -= 1
+        if cc_count[giver] == 0:
+            self._decouple(taker, giver)
+
+    # ------------------------------------------------------------------
+    # Inspection
+    # ------------------------------------------------------------------
+
+    def role_of(self, set_index: int) -> str:
+        """The set's coupling role, in the scheme's own words."""
+        return self._ROLE_NAMES[self._role[set_index]]
+
+    def ledger_counters(self) -> Dict[str, List[int]]:
+        """Per-set attribution counters for the capacity-flow ledger.
+
+        Maintained only while a tracer is attached (all zeros
+        otherwise) and zeroed by :meth:`reset_stats`, so they cover
+        exactly the measured window — matching ``stats``: the per-set
+        hits sum to ``stats.hits``, the cooperative hits to
+        ``stats.cooperative_hits``.  A cooperative hit is credited to
+        the taker whose access it saved.
+        """
+        return {
+            "hits": list(self._led_hits),
+            "cooperative_hits": list(self._led_coop),
+        }
+
+    def reset_stats(self) -> None:
+        """Zero statistics and the ledger counters; the clock runs on."""
+        super().reset_stats()
+        num_sets = self.geometry.num_sets
+        self._led_hits = [0] * num_sets
+        self._led_coop = [0] * num_sets
+
+    def check_invariants(self) -> None:
+        """Verify structural consistency, set by set.
+
+        Raises :class:`InvariantViolation` on the first inconsistency —
+        never ``assert`` — so the checks work under ``python -O`` and
+        STEM's safe mode can catch and repair instead of crashing.
+        """
+        self.association.check_invariants()
+        for set_index in range(self.geometry.num_sets):
+            self._check_set(set_index)
+
+    def _check_set(self, set_index: int) -> None:
+        """Coupling, occupancy and recency of one set."""
+        table = self._lookup[set_index]
+        cc_blocks = sum(1 for key in table if key & 1)
+        role = self._role[set_index]
+        cc_count = self._cc_count[set_index]
+        if role == GIVER:
+            if cc_blocks != cc_count:
+                raise InvariantViolation(
+                    f"set {set_index}: cc bookkeeping mismatch "
+                    f"({cc_blocks} blocks vs count {cc_count})"
+                )
+            if not self.association.is_coupled(set_index):
+                raise InvariantViolation(
+                    f"set {set_index}: giver role without a pairing"
+                )
+            if cc_count <= 0:
+                raise InvariantViolation(
+                    f"set {set_index}: coupled giver with no cc blocks"
+                )
+        elif cc_blocks != 0:
+            raise InvariantViolation(
+                f"set {set_index}: cooperative blocks in a non-giver"
+            )
+        if role == TAKER:
+            partner = self.association.partner_of(set_index)
+            if partner is None:
+                raise InvariantViolation(
+                    f"set {set_index}: taker role without a pairing"
+                )
+            if self._role[partner] != GIVER:
+                raise InvariantViolation(
+                    f"set {set_index}: partner {partner} is not a giver"
+                )
+        assoc = self.geometry.associativity
+        occupancy = len(table) + len(self._free[set_index])
+        if occupancy != assoc:
+            raise InvariantViolation(
+                f"set {set_index}: occupancy {occupancy} != "
+                f"associativity {assoc}"
+            )
+        if sorted(self._order[set_index]) != sorted(table.values()):
+            raise InvariantViolation(
+                f"set {set_index}: recency order disagrees with the "
+                "lookup table"
+            )

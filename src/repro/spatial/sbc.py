@@ -20,27 +20,24 @@ We implement the behaviour the STEM paper describes and critiques
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cache.access import AccessKind
 from repro.cache.geometry import CacheGeometry
-from repro.common.errors import ConfigError, InvariantViolation
+from repro.common.errors import ConfigError
 from repro.common.rng import Lfsr
-from repro.obs.events import CoopHit, Coupling, Decoupling, Eviction
+from repro.obs.events import Eviction
 from repro.obs.tracer import Tracer
-from repro.spatial.association import AssociationTable
-from repro.spatial.cooperative import CooperativeSets
-from repro.spatial.heap import GiverHeap
-
-_ROLE_NONE = 0
-_ROLE_SOURCE = 1
-_ROLE_DEST = 2
+from repro.spatial.cooperative import TAKER, UNCOUPLED, CoupledSets
 
 
-class SbcCache(CooperativeSets):
+class SbcCache(CoupledSets):
     """Dynamic Set Balancing Cache over an LRU substrate."""
 
     name = "SBC"
+    #: SBC's words for the engine's roles: a taker is a source, a
+    #: giver a destination.
+    _ROLE_NAMES = ("none", "source", "dest")
 
     def __init__(
         self,
@@ -54,7 +51,7 @@ class SbcCache(CooperativeSets):
         num_sets = geometry.num_sets
         if num_sets < 2:
             raise ConfigError("SBC needs at least two sets to balance")
-        super().__init__(geometry, rng, tracer)
+        super().__init__(geometry, heap_capacity, rng, tracer)
         assoc = geometry.associativity
         # Saturation counter range and the "low saturation" bar for
         # destination eligibility (half of the maximum, as in the SBC
@@ -75,14 +72,7 @@ class SbcCache(CooperativeSets):
                 f"couple_threshold must be positive, got "
                 f"{self.couple_threshold}"
             )
-        self.association = AssociationTable(num_sets)
-        self.heap = GiverHeap(heap_capacity)
         self._saturation: List[int] = [0] * num_sets
-        self._role: List[int] = [_ROLE_NONE] * num_sets
-        # Ledger attribution counters (tracer-guarded, reset with the
-        # stats; underscore-prefixed so the manifest hash ignores them).
-        self._led_hits: List[int] = [0] * num_sets
-        self._led_coop: List[int] = [0] * num_sets
 
     # ------------------------------------------------------------------
     # Access path
@@ -159,7 +149,7 @@ class SbcCache(CooperativeSets):
             if saturation < 0:
                 saturation = 0
             saturations[set_index] = saturation
-            if saturation < threshold and roles[set_index] == _ROLE_NONE:
+            if saturation < threshold and roles[set_index] == UNCOUPLED:
                 heap_offer(set_index, saturation)
             if has_writes and writes[n]:
                 dirty_rows[set_index][way] = True
@@ -180,29 +170,10 @@ class SbcCache(CooperativeSets):
         """
         stats = self.stats
         roles = self._role
-        probed_coop = False
-        if roles[set_index] == _ROLE_SOURCE:
-            dest = self.association.partner_of(set_index)
-            probed_coop = True
-            coop_way = self._lookup[dest].get((tag << 1) | 1)
-            if coop_way is not None:
-                stats.hits += 1
-                stats.cooperative_hits += 1
-                tracer = self.tracer
-                if tracer.enabled:
-                    self._led_hits[set_index] += 1
-                    self._led_coop[set_index] += 1
-                    tracer.emit(CoopHit(
-                        access=stats.accesses,
-                        set_index=set_index,
-                        global_access=self._access_base + stats.accesses,
-                        giver=dest,
-                    ))
-                self._on_set_hit(set_index)
-                if is_write:
-                    self._dirty[dest][coop_way] = True
-                self._promote(dest, coop_way)
-                return AccessKind.COOP_HIT
+        probed_coop = roles[set_index] == TAKER
+        if probed_coop and self._probe_partner(set_index, tag, is_write):
+            self._on_set_hit(set_index)
+            return AccessKind.COOP_HIT
         stats.misses += 1
         if probed_coop:
             stats.misses_double_probe += 1
@@ -245,9 +216,9 @@ class SbcCache(CooperativeSets):
             if key & 1:
                 # A cooperatively cached block: it belongs to the
                 # coupled source; its loss may dissolve the pair.
-                self._drop_cooperative(set_index, dirty)
-            elif roles[set_index] == _ROLE_SOURCE or (
-                roles[set_index] == _ROLE_NONE
+                self._drop_cooperative(set_index, key >> 1, dirty)
+            elif roles[set_index] == TAKER or (
+                roles[set_index] == UNCOUPLED
                 and saturation >= self.saturation_limit
                 and self.heap  # an empty selector has no destination
                 and self._try_couple(set_index) is not None
@@ -271,79 +242,13 @@ class SbcCache(CooperativeSets):
         self._saturation[set_index] = saturation
         if (
             saturation < self.couple_threshold
-            and self._role[set_index] == _ROLE_NONE
+            and self._role[set_index] == UNCOUPLED
         ):
             self.heap.offer(set_index, saturation)
 
-    # ------------------------------------------------------------------
-    # Fill / spill machinery
-    # ------------------------------------------------------------------
-
-    def _drop_cooperative(self, dest_index: int, dirty: bool) -> None:
-        if dirty:
-            self.stats.writebacks += 1
-        self._cc_count[dest_index] -= 1
-        if self._cc_count[dest_index] == 0:
-            source = self.association.partner_of(dest_index)
-            self._decouple(source, dest_index)
-
-    # ------------------------------------------------------------------
-    # Coupling management
-    # ------------------------------------------------------------------
-
-    def _try_couple(self, source_index: int) -> Optional[int]:
-        def _valid(candidate: int) -> bool:
-            # The bounds check tolerates glitched heap slots naming
-            # nonexistent sets — lazy validation drops them as stale.
-            return (
-                0 <= candidate < self.geometry.num_sets
-                and candidate != source_index
-                and self._role[candidate] == _ROLE_NONE
-                and self._saturation[candidate] < self.couple_threshold
-            )
-
-        dest = self.heap.pop_best(_valid)
-        if dest is None:
-            return None
-        self.association.couple(source_index, dest)
-        self._role[source_index] = _ROLE_SOURCE
-        self._role[dest] = _ROLE_DEST
-        self.heap.remove(source_index)
-        self.stats.couplings += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(Coupling(
-                access=self.stats.accesses,
-                set_index=source_index,
-                global_access=self._access_base + self.stats.accesses,
-                giver=dest,
-            ))
-        return dest
-
-    def _decouple(self, source_index: int, dest_index: int) -> None:
-        self.association.decouple(source_index, dest_index)
-        self._role[source_index] = _ROLE_NONE
-        self._role[dest_index] = _ROLE_NONE
-        self.stats.decouplings += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            # SBC dissolves a pair only when the destination drains its
-            # last cooperative block.  A destination whose saturation
-            # climbed back above the coupling bar stopped looking like
-            # a lender — its demand recovered (role change); one still
-            # below it simply aged the source's blocks out.
-            reason = (
-                "giver_drained"
-                if self._saturation[dest_index] < self.couple_threshold
-                else "role_change"
-            )
-            tracer.emit(Decoupling(
-                access=self.stats.accesses,
-                set_index=source_index,
-                global_access=self._access_base + self.stats.accesses,
-                giver=dest_index,
-                reason=reason,
-            ))
+    def _gives(self, set_index: int) -> bool:
+        """A destination's saturation sits below the coupling bar."""
+        return self._saturation[set_index] < self.couple_threshold
 
     # ------------------------------------------------------------------
     # Inspection
@@ -352,56 +257,3 @@ class SbcCache(CooperativeSets):
     def saturation_of(self, set_index: int) -> int:
         """Current saturation level of ``set_index`` (for tests)."""
         return self._saturation[set_index]
-
-    def role_of(self, set_index: int) -> str:
-        """'none', 'source' or 'dest' (for tests and analyses)."""
-        return ("none", "source", "dest")[self._role[set_index]]
-
-    def ledger_counters(self) -> Dict[str, List[int]]:
-        """Per-set attribution counters for the capacity-flow ledger.
-
-        Tracer-guarded and window-aligned like
-        :meth:`repro.core.stem_cache.StemCache.ledger_counters`; SBC
-        has no policy swaps, so there is no ``swapped_policy_hits``
-        row and its temporal component is structurally zero.
-        """
-        return {
-            "hits": list(self._led_hits),
-            "cooperative_hits": list(self._led_coop),
-        }
-
-    def reset_stats(self) -> None:
-        """Zero statistics and the ledger counters; the clock runs on."""
-        super().reset_stats()
-        num_sets = self.geometry.num_sets
-        self._led_hits = [0] * num_sets
-        self._led_coop = [0] * num_sets
-
-    def check_invariants(self) -> None:
-        """Raise :class:`InvariantViolation` on structural inconsistency."""
-        self.association.check_invariants()
-        for set_index in range(self.geometry.num_sets):
-            table = self._lookup[set_index]
-            cc_blocks = sum(1 for key in table if key & 1)
-            if self._role[set_index] == _ROLE_DEST:
-                if cc_blocks != self._cc_count[set_index]:
-                    raise InvariantViolation(
-                        f"set {set_index}: cc bookkeeping mismatch"
-                    )
-                if not self.association.is_coupled(set_index):
-                    raise InvariantViolation(
-                        f"set {set_index}: dest role without a coupling"
-                    )
-            elif cc_blocks != 0:
-                raise InvariantViolation(
-                    f"set {set_index}: cooperative blocks outside a dest set"
-                )
-            occupancy = len(table) + len(self._free[set_index])
-            if occupancy != self.geometry.associativity:
-                raise InvariantViolation(
-                    f"set {set_index}: valid+free != associativity"
-                )
-            if sorted(self._order[set_index]) != sorted(table.values()):
-                raise InvariantViolation(
-                    f"set {set_index}: recency order out of sync with table"
-                )

@@ -24,6 +24,7 @@ from repro.common.errors import (
 from repro.common.io import atomic_write, atomic_write_text
 from repro.obs.index import ArtifactIndex
 from repro.obs.profile import RunProfiler
+from repro.obs.server import create_server
 from repro.sim.cache import RunCache
 from repro.sim.campaign import (
     CampaignJournal,
@@ -391,6 +392,36 @@ class TestRunCampaign:
         with ArtifactIndex(":memory:") as index:
             assert index.ingest(directory).skipped == []
 
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+    def test_complete_resume_leaves_the_journal_alone(self, tmp_path, torn):
+        # Nothing executes, so nothing is journaled: the journal every
+        # later resume and ingest replays stops growing.  A torn final
+        # newline is tolerated as it stands.
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory)
+        journal_path = directory / "campaign.jsonl"
+        if torn:
+            journal_path.write_bytes(journal_path.read_bytes()[:-1])
+        journal = journal_path.read_bytes()
+        for _ in range(2):
+            assert run_campaign(spec_path, directory=directory).executed == 0
+            assert journal_path.read_bytes() == journal
+
+    def test_resume_that_executes_journals_resume_and_end(self, tmp_path):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory)
+        next(iter((directory / "runcache").glob("*/*.json"))).unlink()
+        assert run_campaign(spec_path, directory=directory).executed == 1
+        records, _ = load_journal(directory / "campaign.jsonl")
+        kinds = [record["kind"] for record in records]
+        assert kinds.count("campaign_resume") == 1
+        assert kinds.count("campaign_end") == 2
+        assert kinds[-4:] == [
+            "campaign_resume", "cell_start", "cell_done", "campaign_end",
+        ]
+
     def test_two_directories_byte_identical(self, tmp_path):
         spec_path = write_spec(tmp_path, SMALL)
         run_campaign(spec_path, directory=tmp_path / "a")
@@ -472,6 +503,68 @@ class TestRunCampaign:
         assert "4 cells" in status and "4 done" in status
         with pytest.raises(CampaignError, match="no campaign journal"):
             campaign_status(tmp_path / "nowhere")
+
+
+# ----------------------------------------------------------------------
+# Malformed journal records are ignored by every reader
+# ----------------------------------------------------------------------
+
+#: A cell record whose payload field has the wrong type, by field.
+MALFORMED = {
+    "digest": {"kind": "cell_done", "key": "k", "digest": {"x": 1}},
+    "failure": {"kind": "cell_failed", "failure": "x"},
+}
+
+
+def malform_cell_record(journal_path, cell, field):
+    """Replace ``cell``'s terminal record with a malformed one."""
+    lines = []
+    for line in journal_path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["kind"] == "cell_done" and record["cell"] == cell:
+            record = {"cell": cell, "id": record["id"], **MALFORMED[field]}
+        lines.append(json.dumps(record, sort_keys=True))
+    journal_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestMalformedJournalRecords:
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_replay_ignores_the_record(self, tmp_path, field):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory)
+        malform_cell_record(directory / "campaign.jsonl", 0, field)
+        state = replay_journal(directory / "campaign.jsonl")
+        assert sorted(state.completed) == [1, 2, 3]
+        assert state.failed == {}
+        assert state.in_flight == [0]
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_status_ingest_serve_and_resume(self, tmp_path, capsys, field):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        run_campaign(spec_path, directory=directory)
+        before = output_bytes(directory)
+        malform_cell_record(directory / "campaign.jsonl", 0, field)
+
+        assert main(["campaign", "status", str(directory)]) == 0
+        assert "3 done, 0 quarantined, 1 in flight" in \
+            capsys.readouterr().out
+        db = tmp_path / "index.sqlite"
+        assert main(["index", "ingest", str(directory), "--db", str(db)]) == 0
+        assert "runs: 3 added" in capsys.readouterr().out
+        server = create_server(directory)
+        server.server_close()
+        server.index.close()
+
+        # The cell re-runs and the campaign's artifacts come out as
+        # they were.
+        assert main([
+            "campaign", "run", str(spec_path), "--dir", str(directory)
+        ]) == 0
+        assert "1 executed, 3 resumed" in capsys.readouterr().out
+        assert output_bytes(directory) == before
+        assert "4 done" in campaign_status(directory)
 
 
 # ----------------------------------------------------------------------
