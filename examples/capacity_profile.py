@@ -15,7 +15,7 @@ import argparse
 
 from repro.analysis.capacity_demand import profile_capacity_demand
 from repro.analysis.classification import classify_trace
-from repro.workloads import benchmark_names, make_benchmark_trace
+from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 
 
 def main() -> None:

@@ -16,9 +16,11 @@ from dataclasses import replace
 
 from repro.core.config import StemConfig
 from repro.core.stem_cache import StemCache
-from repro.sim import ExperimentScale, associativity_sweep, run_trace
+from repro.sim.config import ExperimentScale
 from repro.sim.results import format_series
-from repro.workloads import benchmark_names, make_benchmark_trace
+from repro.sim.runner import associativity_sweep
+from repro.sim.simulator import run_trace
+from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 
 SCALE = ExperimentScale(num_sets=128, associativity=16, trace_length=120_000)
 

@@ -12,7 +12,8 @@ Run:  python examples/microbenchmarks.py
 from __future__ import annotations
 
 from repro.cache.geometry import CacheGeometry
-from repro.sim import make_scheme, run_trace
+from repro.sim.config import make_scheme
+from repro.sim.simulator import run_trace
 from repro.workloads.patterns import (
     hot_cold,
     pointer_chase,

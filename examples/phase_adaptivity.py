@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.stem_cache import StemCache
-from repro.obs import RingBufferSink, Tracer
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.obs.inspect import coupling_lifetimes, event_counts, spill_fanout
 from repro.workloads.generators import SetGroupSpec, WorkloadSpec, generate_trace
 

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import sys
 
-from repro import (
-    CacheGeometry,
-    StemCache,
-    benchmark_names,
-    make_benchmark_trace,
-    make_scheme,
-    run_trace,
-)
+from repro.cache.geometry import CacheGeometry
+from repro.core.stem_cache import StemCache
+from repro.sim.config import make_scheme
+from repro.sim.simulator import run_trace
+from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 
 
 def main() -> None:

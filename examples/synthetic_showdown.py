@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from repro.cache.geometry import CacheGeometry
 from repro.experiments.figure2 import oracle_dip_miss_rate
-from repro.sim import make_scheme, run_trace
-from repro.workloads import figure2_trace
+from repro.sim.config import make_scheme
+from repro.sim.simulator import run_trace
 from repro.workloads.synthetic import (
     FIGURE2_WORKING_SETS,
     figure2_expected_miss_rates,
+    figure2_trace,
 )
 
 COMMENTARY = {

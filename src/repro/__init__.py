@@ -28,90 +28,71 @@ Quickstart::
     cache = StemCache(geometry)
     result = run_trace(cache, make_benchmark_trace("omnetpp"))
     print(result.mpki, result.amat, result.cpi)
-"""
 
-from repro.cache import (
-    AccessKind,
-    CacheGeometry,
-    CacheHierarchy,
-    MainMemory,
-    SetAssociativeCache,
-)
-from repro.core import StemCache, StemConfig
-from repro.obs import (
-    JsonlSink,
-    LedgerSink,
-    NULL_TRACER,
-    RingBufferSink,
-    RunLedger,
-    RunManifest,
-    RunProfiler,
-    TraceEvent,
-    Tracer,
-    attribute,
-    build_manifest,
-    load_events,
-    summarize_events,
-)
-from repro.policies import available_policies, make_policy
-from repro.resilience import FaultPlan, RetryPolicy, run_fault_campaign
-from repro.sim import (
-    ExperimentScale,
-    PAPER_SCHEMES,
-    available_schemes,
-    make_scheme,
-    run_benchmarks,
-    run_trace,
-)
-from repro.spatial import SbcCache, VwayCache
-from repro.workloads import (
-    Trace,
-    benchmark_names,
-    figure2_trace,
-    generate_trace,
-    make_benchmark_trace,
-)
+The names in ``__all__`` are the quickstart's.  Each resolves on first
+use from the module that defines it (PEP 562), so ``import repro``
+loads only :mod:`repro._version`; everywhere else, import a name from
+its defining module.
+"""
 
 from repro._version import __version__
 
-__all__ = [
-    "AccessKind",
-    "CacheGeometry",
-    "CacheHierarchy",
-    "ExperimentScale",
-    "FaultPlan",
-    "JsonlSink",
-    "LedgerSink",
-    "MainMemory",
-    "NULL_TRACER",
-    "PAPER_SCHEMES",
-    "RetryPolicy",
-    "RingBufferSink",
-    "RunLedger",
-    "RunManifest",
-    "RunProfiler",
-    "SbcCache",
-    "SetAssociativeCache",
-    "StemCache",
-    "StemConfig",
-    "Trace",
-    "TraceEvent",
-    "Tracer",
-    "VwayCache",
-    "attribute",
-    "available_policies",
-    "available_schemes",
-    "benchmark_names",
-    "build_manifest",
-    "figure2_trace",
-    "generate_trace",
-    "load_events",
-    "make_benchmark_trace",
-    "make_policy",
-    "make_scheme",
-    "run_benchmarks",
-    "run_fault_campaign",
-    "run_trace",
-    "summarize_events",
-    "__version__",
-]
+#: Each quickstart name and the module that defines it.
+_HOMES = {
+    "AccessKind": "repro.cache.access",
+    "CacheGeometry": "repro.cache.geometry",
+    "CacheHierarchy": "repro.cache.hierarchy",
+    "ExperimentScale": "repro.sim.config",
+    "FaultPlan": "repro.resilience.faults",
+    "JsonlSink": "repro.obs.sinks",
+    "LedgerSink": "repro.obs.ledger",
+    "MainMemory": "repro.cache.memory",
+    "NULL_TRACER": "repro.obs.tracer",
+    "PAPER_SCHEMES": "repro.sim.config",
+    "RetryPolicy": "repro.resilience.harness",
+    "RingBufferSink": "repro.obs.sinks",
+    "RunLedger": "repro.obs.ledger",
+    "RunManifest": "repro.obs.manifest",
+    "RunProfiler": "repro.obs.profile",
+    "SbcCache": "repro.spatial.sbc",
+    "SetAssociativeCache": "repro.cache.basecache",
+    "StemCache": "repro.core.stem_cache",
+    "StemConfig": "repro.core.config",
+    "Trace": "repro.workloads.trace",
+    "TraceEvent": "repro.obs.events",
+    "Tracer": "repro.obs.tracer",
+    "VwayCache": "repro.spatial.vway",
+    "attribute": "repro.obs.explain",
+    "available_policies": "repro.policies.registry",
+    "available_schemes": "repro.sim.config",
+    "benchmark_names": "repro.workloads.spec_like",
+    "build_manifest": "repro.obs.manifest",
+    "figure2_trace": "repro.workloads.synthetic",
+    "generate_trace": "repro.workloads.generators",
+    "load_events": "repro.obs.sinks",
+    "make_benchmark_trace": "repro.workloads.spec_like",
+    "make_policy": "repro.policies.registry",
+    "make_scheme": "repro.sim.config",
+    "run_benchmarks": "repro.sim.runner",
+    "run_fault_campaign": "repro.resilience.campaign",
+    "run_trace": "repro.sim.simulator",
+    "summarize_events": "repro.obs.inspect",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a quickstart name from its defining module on first use."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,73 +1,2 @@
 """Analyses: stack distances, capacity demand, metrics, classification,
 hardware overhead."""
-
-from repro.analysis.capacity_demand import (
-    CapacityDemandProfile,
-    profile_capacity_demand,
-)
-from repro.analysis.classification import WorkloadClassification, classify_trace
-from repro.analysis.metrics import (
-    MetricSet,
-    evaluate_run,
-    geomean,
-    improvement_over_baseline,
-    mpki,
-    normalize_to_baseline,
-)
-# NOTE: repro.analysis.report is intentionally NOT re-exported here: it
-# composes the simulation layer on top of the analyses, and importing
-# it from this package would create a cycle (sim -> analysis.metrics).
-# Import it explicitly: ``from repro.analysis.report import build_report``.
-from repro.analysis.reuse import (
-    ReuseSummary,
-    lru_miss_curve,
-    summarize_reuse,
-    working_set_sizes,
-)
-from repro.analysis.overhead import (
-    StorageReport,
-    dip_overhead,
-    lru_baseline_bits,
-    paper_table3_geometry,
-    pelifo_overhead,
-    sbc_overhead,
-    stem_overhead,
-    vway_overhead,
-)
-from repro.analysis.stack_distance import (
-    COLD,
-    StackDistanceProfiler,
-    distances,
-    histogram,
-    lru_hits_at,
-)
-
-__all__ = [
-    "COLD",
-    "CapacityDemandProfile",
-    "MetricSet",
-    "ReuseSummary",
-    "StackDistanceProfiler",
-    "StorageReport",
-    "WorkloadClassification",
-    "lru_miss_curve",
-    "summarize_reuse",
-    "working_set_sizes",
-    "classify_trace",
-    "dip_overhead",
-    "distances",
-    "evaluate_run",
-    "geomean",
-    "histogram",
-    "improvement_over_baseline",
-    "lru_baseline_bits",
-    "lru_hits_at",
-    "mpki",
-    "normalize_to_baseline",
-    "paper_table3_geometry",
-    "pelifo_overhead",
-    "profile_capacity_demand",
-    "sbc_overhead",
-    "stem_overhead",
-    "vway_overhead",
-]

@@ -1,24 +1,1 @@
 """Cache substrate: geometry, conventional caches, hierarchy, DRAM."""
-
-from repro.cache.access import AccessKind
-from repro.cache.basecache import SetAssociativeCache
-from repro.cache.block import BlockView, ShadowView
-from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import CacheHierarchy, default_l1_geometry
-from repro.cache.memory import Bus, MainMemory
-from repro.cache.mshr import MshrFile
-from repro.cache.writebuffer import WriteBuffer
-
-__all__ = [
-    "AccessKind",
-    "BlockView",
-    "Bus",
-    "CacheGeometry",
-    "CacheHierarchy",
-    "MainMemory",
-    "MshrFile",
-    "SetAssociativeCache",
-    "ShadowView",
-    "WriteBuffer",
-    "default_l1_geometry",
-]

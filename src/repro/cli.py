@@ -56,27 +56,12 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.capacity_demand import profile_capacity_demand
-from repro.analysis.classification import classify_trace
-from repro.experiments import (
-    ablations,
-    figure1,
-    figure2,
-    figure3,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    headline,
-    hierarchy_mode,
-    optgap,
-    table2,
-    table3,
-    traffic,
-)
-from repro.analysis.report import build_report, render_report
+# Only what the parser reads and light leaf modules sit here.  Each
+# command imports the simulator, analysis, experiment, report and server
+# layers it runs in its handler, so `repro --version` or `repro index
+# query` never loads the simulator.
 from repro._version import __version__
 from repro.common.errors import ReproError
 from repro.common.io import atomic_write_text
@@ -85,46 +70,34 @@ from repro.obs.benchhistory import (
     load_history,
     render_history,
 )
-from repro.obs.diff import diff_results
 from repro.obs.events import EVENT_TYPES
-from repro.obs.explain import attribute
-from repro.obs.fleet import load_fleet, render_top, write_status
 from repro.obs.index import DEFAULT_INDEX_PATH, ArtifactIndex
-from repro.obs.server import create_server
-from repro.obs.htmlreport import (
-    diff_to_html,
-    explain_to_html,
-    render_run_html,
-)
+from repro.obs.inspect import summarize_events
 from repro.obs.profile import PhaseTimer, RunProfiler
 from repro.obs.sinks import FilteredSink, JsonlSink, RingBufferSink
 from repro.obs.tracer import Tracer
-from repro.obs.inspect import summarize_events
-from repro.resilience.campaign import run_fault_campaign
 from repro.resilience.faults import FAULT_TARGETS
-from repro.sim.cache import RunCache, load_run, save_run
-from repro.sim.campaign import campaign_status, run_campaign
-from repro.sim.config import ExperimentScale, available_schemes, make_scheme
-from repro.sim.results import format_series, format_table
-from repro.sim.runner import associativity_sweep, run_benchmarks
-from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 
+if TYPE_CHECKING:
+    from repro.sim.config import ExperimentScale
+
+#: Figure name -> the module whose ``main()`` prints it.
 _FIGURES = {
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure7": figure7,
-    "figure8": figure8,
-    "figure9": figure9,
-    "figure10": figure10,
-    "table2": table2,
-    "table3": table3,
-    "headline": headline,
-    "ablations": ablations,
-    "traffic": traffic,
-    "hierarchy": hierarchy_mode,
-    "optgap": optgap,
+    "figure1": "repro.experiments.figure1",
+    "figure2": "repro.experiments.figure2",
+    "figure3": "repro.experiments.figure3",
+    "figure7": "repro.experiments.figure7",
+    "figure8": "repro.experiments.figure8",
+    "figure9": "repro.experiments.figure9",
+    "figure10": "repro.experiments.figure10",
+    "table2": "repro.experiments.table2",
+    "table3": "repro.experiments.table3",
+    "headline": "repro.experiments.headline",
+    "ablations": "repro.experiments.ablations",
+    "traffic": "repro.experiments.traffic",
+    "hierarchy": "repro.experiments.hierarchy_mode",
+    "optgap": "repro.experiments.optgap",
 }
 
 
@@ -149,6 +122,8 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _scale_from(args: argparse.Namespace) -> ExperimentScale:
+    from repro.sim.config import ExperimentScale
+
     return ExperimentScale(
         num_sets=args.sets,
         associativity=args.assoc,
@@ -166,17 +141,26 @@ def _finish_profile(profiler: RunProfiler, args: argparse.Namespace) -> None:
         print(f"wrote profile report to {profile_json}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scale = _scale_from(args)
+def _in_process_run(scheme: str, benchmark: str, scale, **options):
+    """One in-process run of ``scheme`` on ``benchmark`` after warm-up."""
+    from repro.sim.config import make_scheme
+    from repro.sim.simulator import run_trace
+
     trace = make_benchmark_trace(
-        args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
+        benchmark, num_sets=scale.num_sets, length=scale.trace_length
     )
-    cache = make_scheme(args.scheme, scale.geometry())
-    result = run_trace(
-        cache, trace,
-        warmup_fraction=scale.warmup_fraction,
-        metrics_window=args.window,
-        ledger=args.ledger,
+    cache = make_scheme(scheme, scale.geometry())
+    return run_trace(
+        cache, trace, warmup_fraction=scale.warmup_fraction, **options
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.sim.cache import save_run
+
+    result = _in_process_run(
+        args.scheme, args.benchmark, _scale_from(args),
+        metrics_window=args.window, ledger=args.ledger,
     )
     print(f"{result.scheme} on {result.trace_name}: "
           f"MPKI={result.mpki:.3f}  AMAT={result.amat:.2f}  "
@@ -209,6 +193,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.sim.config import make_scheme
+    from repro.sim.simulator import run_trace
+
     scale = _scale_from(args)
     trace = make_benchmark_trace(
         args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
@@ -244,6 +231,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 3 if document["regressed"] else 0
         print(render_history(history), end="")
         return 0
+    from repro.sim.cache import RunCache
+    from repro.sim.results import format_table
+    from repro.sim.runner import run_benchmarks
+
     scale = _scale_from(args)
     schemes = [s.strip() for s in args.schemes.split(",")]
     benchmarks = (
@@ -280,6 +271,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.sim.campaign import run_campaign
+
     profiler: Optional[RunProfiler] = None
     if args.profile or args.profile_json:
         profiler = RunProfiler()
@@ -310,11 +303,15 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    from repro.sim.campaign import campaign_status
+
     print(campaign_status(args.dir), end="")
     return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
+    from repro.obs.fleet import load_fleet, render_top, write_status
+
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         print(f"repro top: no telemetry directory at {run_dir}",
@@ -391,6 +388,8 @@ def _cmd_index_regressions(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.obs.server import create_server
+
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         print(f"repro serve: no run directory at {run_dir}",
@@ -446,6 +445,9 @@ def _parse_kinds(raw: Optional[str]) -> Optional[frozenset]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.sim.config import make_scheme
+    from repro.sim.simulator import run_trace
+
     scale = _scale_from(args)
     kinds = _parse_kinds(args.kinds)
     trace = make_benchmark_trace(
@@ -483,6 +485,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.sim.results import format_series
+    from repro.sim.runner import associativity_sweep
+
     scale = _scale_from(args)
     trace = make_benchmark_trace(
         args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
@@ -508,6 +513,8 @@ _DEFAULT_FAULT_PLAN = "sc_s:2,sc_t:2,shadow:4,association:1,heap:2,trace:4"
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from repro.resilience.campaign import run_fault_campaign
+
     scale = _scale_from(args)
     tracer: Optional[Tracer] = None
     jsonl: Optional[JsonlSink] = None
@@ -534,6 +541,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.analysis.capacity_demand import profile_capacity_demand
+    from repro.analysis.classification import classify_trace
+
     scale = _scale_from(args)
     trace = make_benchmark_trace(
         args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
@@ -557,20 +567,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _windowed_run(scheme: str, benchmark: str, scale, window: int):
-    """One in-process run with windowed metrics (diff/report inputs)."""
-    trace = make_benchmark_trace(
-        benchmark, num_sets=scale.num_sets, length=scale.trace_length
-    )
-    cache = make_scheme(scheme, scale.geometry())
-    return run_trace(
-        cache, trace,
-        warmup_fraction=scale.warmup_fraction,
-        metrics_window=window,
-    )
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.obs.diff import diff_results
+    from repro.sim.cache import load_run
+
     scale = _scale_from(args)
 
     def resolve(operand: str):
@@ -578,7 +578,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         # simulated in-process on --benchmark at the current scale.
         if Path(operand).is_file():
             return load_run(operand)
-        return _windowed_run(operand, args.benchmark, scale, args.window)
+        return _in_process_run(operand, args.benchmark, scale,
+                               metrics_window=args.window)
 
     diff = diff_results(resolve(args.a), resolve(args.b), top_k=args.top_k)
     rendered = diff.render()
@@ -596,20 +597,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ledgered_run(scheme: str, benchmark: str, scale):
-    """One in-process run with the capacity-flow ledger attached."""
-    trace = make_benchmark_trace(
-        benchmark, num_sets=scale.num_sets, length=scale.trace_length
-    )
-    cache = make_scheme(scheme, scale.geometry())
-    return run_trace(
-        cache, trace,
-        warmup_fraction=scale.warmup_fraction,
-        ledger=True,
-    )
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.obs.explain import attribute
+    from repro.obs.htmlreport import explain_to_html
+    from repro.sim.cache import load_run
+
     scale = _scale_from(args)
 
     def resolve(operand: str):
@@ -618,7 +610,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         # component and per-set rows are available).
         if Path(operand).is_file():
             return load_run(operand)
-        return _ledgered_run(operand, args.benchmark, scale)
+        return _in_process_run(operand, args.benchmark, scale, ledger=True)
 
     attribution = attribute(resolve(args.a), resolve(args.b))
     rendered = attribution.render(top_k=args.top_k)
@@ -642,12 +634,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
     if not args.out:
         # Legacy surface: the plain-text analysis report on stdout.
+        from repro.analysis.report import build_report, render_report
+
         report = build_report(args.benchmark, scale=scale)
         print(render_report(report))
         return 0
-    run_a = _windowed_run(args.scheme, args.benchmark, scale, args.window)
+    from repro.obs.htmlreport import diff_to_html, render_run_html
+
+    run_a = _in_process_run(args.scheme, args.benchmark, scale,
+                            metrics_window=args.window)
     if args.vs:
-        run_b = _windowed_run(args.vs, args.benchmark, scale, args.window)
+        run_b = _in_process_run(args.vs, args.benchmark, scale,
+                                metrics_window=args.window)
         html = diff_to_html(run_a, run_b)
     else:
         html = render_run_html(run_a)
@@ -657,7 +655,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    module = _FIGURES[args.name]
+    from importlib import import_module
+
+    module = import_module(_FIGURES[args.name])
     if args.profile:
         with PhaseTimer(args.name) as timer:
             module.main()
@@ -668,11 +668,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.experiments import table3
+
     table3.main()
     return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.sim.config import available_schemes
+
     print("schemes:    " + ", ".join(available_schemes()))
     print("benchmarks: " + ", ".join(benchmark_names()))
     print("figures:    " + ", ".join(sorted(_FIGURES)))

@@ -85,7 +85,3 @@ class StemConfig:
         # Derived values, set past the frozen dataclass's __setattr__.
         object.__setattr__(self, "counter_max", (1 << self.counter_bits) - 1)
         object.__setattr__(self, "giver_bit", 1 << (self.counter_bits - 1))
-
-
-#: The exact configuration evaluated in the paper.
-PAPER_STEM_CONFIG = StemConfig()

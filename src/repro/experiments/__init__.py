@@ -5,39 +5,3 @@ Every module exposes ``run(...)`` returning structured results and
 ``python -m repro.experiments.figure7`` (etc.) regenerates a figure
 from the command line.
 """
-
-from repro.experiments import (  # noqa: F401
-    ablations,
-    evaluation,
-    figure1,
-    figure2,
-    figure3,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    headline,
-    hierarchy_mode,
-    optgap,
-    table2,
-    table3,
-    traffic,
-)
-
-__all__ = [
-    "ablations",
-    "evaluation",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "headline",
-    "hierarchy_mode",
-    "optgap",
-    "table2",
-    "table3",
-    "traffic",
-]

@@ -48,166 +48,3 @@ and the README's *Observability* section):
   ``/metrics``, ``/api/status``, ``/api/runs``, ``/api/regressions``
   and the same byte-stable HTML dashboards the CLI writes.
 """
-
-from repro.obs.events import (
-    EVENT_TYPES,
-    CoopHit,
-    Coupling,
-    Decoupling,
-    Eviction,
-    FaultInjected,
-    PolicySwap,
-    SafeModeEntry,
-    ShadowHit,
-    Spill,
-    SpillReject,
-    TraceEvent,
-    event_from_dict,
-)
-from repro.obs.diff import MetricDelta, RunDiff, SetDivergence, diff_results
-from repro.obs.explain import Attribution, SetAttribution, attribute
-from repro.obs.htmlreport import (
-    diff_to_html,
-    explain_to_html,
-    render_run_html,
-)
-from repro.obs.ledger import (
-    CouplingEpisode,
-    LedgerSink,
-    RunLedger,
-    SwapEpisode,
-)
-from repro.obs.inspect import (
-    CouplingSpan,
-    coupling_lifetimes,
-    coupling_spans,
-    event_clock,
-    event_counts,
-    per_set_counts,
-    spill_fanout,
-    summarize_events,
-    swap_cadence,
-)
-from repro.obs.benchhistory import (
-    TrajectoryVerdict,
-    append_history,
-    detect_regressions,
-    history_document,
-    load_history,
-    make_entry,
-    render_history,
-    scheme_trajectories,
-)
-from repro.obs.index import (
-    DEFAULT_INDEX_PATH,
-    ArtifactIndex,
-    IngestReport,
-)
-from repro.obs.server import ObservatoryServer, create_server
-from repro.obs.fleet import (
-    CellFleetStatus,
-    FleetStatus,
-    load_fleet,
-    render_top,
-    write_status,
-)
-from repro.obs.metrics import MetricsRegistry, MetricsSeries
-from repro.obs.manifest import RunManifest, build_manifest, describe_scheme
-from repro.obs.telemetry import (
-    CellTelemetry,
-    GridTelemetry,
-    TelemetrySpec,
-    cell_span_id,
-    cell_status_path,
-    read_status_lines,
-    resource_sample,
-)
-from repro.obs.profile import PhaseTimer, ProfileRecord, RunProfiler
-from repro.obs.sinks import (
-    FilteredSink,
-    JsonlSink,
-    RingBufferSink,
-    load_events,
-    load_events_report,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer, TraceSink
-
-__all__ = [
-    "DEFAULT_INDEX_PATH",
-    "EVENT_TYPES",
-    "ArtifactIndex",
-    "Attribution",
-    "CellFleetStatus",
-    "CellTelemetry",
-    "CoopHit",
-    "Coupling",
-    "CouplingEpisode",
-    "CouplingSpan",
-    "Decoupling",
-    "Eviction",
-    "FaultInjected",
-    "FilteredSink",
-    "FleetStatus",
-    "GridTelemetry",
-    "IngestReport",
-    "JsonlSink",
-    "LedgerSink",
-    "MetricDelta",
-    "MetricsRegistry",
-    "MetricsSeries",
-    "NULL_TRACER",
-    "ObservatoryServer",
-    "PhaseTimer",
-    "PolicySwap",
-    "ProfileRecord",
-    "RingBufferSink",
-    "RunDiff",
-    "RunLedger",
-    "RunManifest",
-    "RunProfiler",
-    "SafeModeEntry",
-    "SetAttribution",
-    "SetDivergence",
-    "ShadowHit",
-    "Spill",
-    "SpillReject",
-    "SwapEpisode",
-    "TelemetrySpec",
-    "TraceEvent",
-    "TraceSink",
-    "Tracer",
-    "TrajectoryVerdict",
-    "append_history",
-    "build_manifest",
-    "cell_span_id",
-    "cell_status_path",
-    "create_server",
-    "detect_regressions",
-    "history_document",
-    "load_fleet",
-    "load_history",
-    "make_entry",
-    "read_status_lines",
-    "render_history",
-    "render_top",
-    "resource_sample",
-    "scheme_trajectories",
-    "write_status",
-    "attribute",
-    "coupling_lifetimes",
-    "coupling_spans",
-    "describe_scheme",
-    "diff_results",
-    "diff_to_html",
-    "event_clock",
-    "explain_to_html",
-    "event_counts",
-    "event_from_dict",
-    "load_events",
-    "load_events_report",
-    "per_set_counts",
-    "render_run_html",
-    "spill_fanout",
-    "summarize_events",
-    "swap_cadence",
-]

@@ -37,9 +37,14 @@ back into ledger entries and judged by
 returns plain sorted dicts so the CLI and the HTTP server emit
 deterministic JSON.
 
-The module deliberately avoids importing :mod:`repro.sim` at the top
-level (sim imports obs, not vice versa); the sim helpers it reuses are
-imported lazily inside the ingestion methods.
+The sim helpers ingestion reuses (``load_run``, ``RunCache``,
+``replay_journal``, ``result_digest``) are imported when an ingest
+method runs, not at the top, for two reasons: ``repro index query``,
+``trajectory`` and ``regressions`` only read the database and so
+load no simulator; and a wrapper that replaces
+``repro.sim.campaign.result_digest`` (the benchmark's spans do) must
+see every digest ingestion computes, which a name bound at import
+would bypass.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.common.errors import ReproError
 from repro.obs.benchhistory import (
     DEFAULT_REFERENCE_WINDOW,
     DEFAULT_REGRESSION_RATIO,
@@ -305,7 +311,6 @@ class ArtifactIndex:
     def _try_ingest_run_file(
         self, path: Path, report: IngestReport
     ) -> bool:
-        from repro.common.errors import ReproError
         from repro.sim.cache import load_run
         from repro.sim.campaign import result_digest
 
@@ -366,8 +371,6 @@ class ArtifactIndex:
     def _try_ingest_history(
         self, path: Path, report: IngestReport
     ) -> bool:
-        from repro.common.errors import ReproError
-
         try:
             history = load_history(path)
         except ReproError:
@@ -423,7 +426,6 @@ class ArtifactIndex:
         that row was digest-verified when it landed.  Every entry that
         is read is digested once.
         """
-        from repro.common.errors import ReproError
         from repro.sim.cache import RunCache
         from repro.sim.campaign import replay_journal, result_digest
 

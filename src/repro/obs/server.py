@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import unquote, urlsplit
 
+from repro.common.errors import ReproError
 from repro.obs.benchhistory import history_document
 from repro.obs.fleet import DEFAULT_STALL_AFTER, load_fleet
 from repro.obs.htmlreport import _STYLE, render_run_html
@@ -208,7 +209,6 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
         accesses — so a finished directory's body never changes between
         scrapes.
         """
-        from repro.common.errors import ReproError
         from repro.sim.cache import load_run
 
         chunks = []
@@ -287,7 +287,6 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
         )
 
     def _run_page(self, digest: str) -> None:
-        from repro.common.errors import ReproError
         from repro.sim.cache import load_run
 
         record = self.server.index.run(digest)

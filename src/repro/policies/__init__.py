@@ -5,34 +5,3 @@ into :class:`repro.cache.basecache.SetAssociativeCache`; PeLIFO adds
 fill-stack learning; :mod:`repro.policies.belady` provides the offline
 OPT oracle used by analyses.
 """
-
-from repro.policies.base import RecencyPolicy, ReplacementPolicy
-from repro.policies.belady import OptSimulator, opt_miss_curve, opt_misses
-from repro.policies.bip import BipPolicy
-from repro.policies.dip import DipPolicy
-from repro.policies.drrip import DrripPolicy
-from repro.policies.lru import FifoPolicy, LipPolicy, LruPolicy
-from repro.policies.pelifo import PeLifoPolicy
-from repro.policies.registry import available_policies, make_policy, register_policy
-from repro.policies.simple import NruPolicy, RandomPolicy, SrripPolicy
-
-__all__ = [
-    "BipPolicy",
-    "DipPolicy",
-    "DrripPolicy",
-    "FifoPolicy",
-    "LipPolicy",
-    "LruPolicy",
-    "NruPolicy",
-    "OptSimulator",
-    "PeLifoPolicy",
-    "RandomPolicy",
-    "RecencyPolicy",
-    "ReplacementPolicy",
-    "SrripPolicy",
-    "available_policies",
-    "make_policy",
-    "opt_miss_curve",
-    "opt_misses",
-    "register_policy",
-]

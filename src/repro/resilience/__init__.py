@@ -13,27 +13,3 @@ Three concerns live here (DESIGN.md's resilience note):
   ``repro faults`` CLI: run a campaign, measure the MPKI degradation
   against the fault-free run and the plain-LRU baseline.
 """
-
-from repro.resilience.campaign import CampaignReport, run_fault_campaign
-from repro.resilience.faults import (
-    FAULT_TARGETS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectingCache,
-    ScheduledFault,
-)
-from repro.resilience.harness import RetryPolicy, guarded_run
-
-__all__ = [
-    "FAULT_TARGETS",
-    "CampaignReport",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectingCache",
-    "RetryPolicy",
-    "ScheduledFault",
-    "guarded_run",
-    "run_fault_campaign",
-]

@@ -379,6 +379,3 @@ class InjectingCache:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._cache, name)
-
-    def __len__(self) -> int:  # pragma: no cover — parity with caches
-        return len(self._cache)

@@ -1041,8 +1041,7 @@ def run_campaign(
         ),
     )
     if index_db is not None:
-        # Lazy import: sim imports obs only when the hook is used, and
-        # obs.index itself imports sim lazily (no cycle at module load).
+        # Imported here so a campaign without an index loads no sqlite3.
         from repro.obs.index import ArtifactIndex
 
         with ArtifactIndex(index_db) as artifact_index:

@@ -1,19 +1,1 @@
 """Spatial LLC management: V-Way, SBC and their shared structures."""
-
-from repro.spatial.association import AssociationTable
-from repro.spatial.heap import GiverHeap
-from repro.spatial.page_coloring import PageColoringCache
-from repro.spatial.sbc import SbcCache
-from repro.spatial.sbc_static import StaticSbcCache
-from repro.spatial.victim_cache import VictimCache
-from repro.spatial.vway import VwayCache
-
-__all__ = [
-    "AssociationTable",
-    "GiverHeap",
-    "PageColoringCache",
-    "SbcCache",
-    "StaticSbcCache",
-    "VictimCache",
-    "VwayCache",
-]

@@ -1,6 +1,1 @@
 """Timing models: the paper's LLC latencies and the analytic CPI model."""
-
-from repro.timing.cpi import PAPER_CPI, CpiModel
-from repro.timing.latency import PAPER_LATENCY, LatencyModel
-
-__all__ = ["CpiModel", "LatencyModel", "PAPER_CPI", "PAPER_LATENCY"]

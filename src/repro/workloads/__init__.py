@@ -1,59 +1,1 @@
 """Workloads: traces, synthetic streams and SPEC-like benchmark models."""
-
-from repro.workloads.benchmark_sets import (
-    BENCHMARK_SETS,
-    benchmark_set_names,
-    resolve_benchmarks,
-)
-from repro.workloads.generators import SetGroupSpec, WorkloadSpec, generate_trace
-from repro.workloads.mixes import concatenate_traces, phased_trace
-from repro.workloads.patterns import (
-    hot_cold,
-    pointer_chase,
-    sequential_scan,
-    strided_scan,
-    tiled_matrix_traversal,
-)
-from repro.workloads.spec_like import (
-    BENCHMARKS,
-    BenchmarkSpec,
-    benchmark_names,
-    make_benchmark_trace,
-)
-from repro.workloads.synthetic import (
-    FIGURE2_WORKING_SETS,
-    bip_cyclic_miss_rate,
-    figure2_expected_miss_rates,
-    figure2_trace,
-    interleaved_cyclic_trace,
-    lru_cyclic_miss_rate,
-)
-from repro.workloads.trace import Trace, TraceMetadata
-
-__all__ = [
-    "BENCHMARKS",
-    "BENCHMARK_SETS",
-    "BenchmarkSpec",
-    "benchmark_set_names",
-    "resolve_benchmarks",
-    "FIGURE2_WORKING_SETS",
-    "SetGroupSpec",
-    "Trace",
-    "TraceMetadata",
-    "WorkloadSpec",
-    "benchmark_names",
-    "bip_cyclic_miss_rate",
-    "concatenate_traces",
-    "figure2_expected_miss_rates",
-    "figure2_trace",
-    "generate_trace",
-    "hot_cold",
-    "interleaved_cyclic_trace",
-    "lru_cyclic_miss_rate",
-    "make_benchmark_trace",
-    "phased_trace",
-    "pointer_chase",
-    "sequential_scan",
-    "strided_scan",
-    "tiled_matrix_traversal",
-]

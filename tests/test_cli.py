@@ -103,7 +103,7 @@ class TestCommands:
         assert "events emitted" in output
         assert "content_hash" in output
         # The JSONL log is parseable and carries several event kinds.
-        from repro.obs import load_events
+        from repro.obs.sinks import load_events
 
         events = load_events(events_path)
         assert events

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from repro.cache.geometry import CacheGeometry
 from repro.common.counters import PolicySelector
 from repro.common.errors import ConfigError
-from repro.core import StemCache, StemConfig
+from repro.core.config import StemConfig
+from repro.core.stem_cache import StemCache
 
 
 class TestSaturatingCounter:

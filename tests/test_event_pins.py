@@ -29,7 +29,8 @@ from functools import lru_cache
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.obs import RingBufferSink, Tracer
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.sim.cache import result_to_dict
 from repro.sim.config import PAPER_SCHEMES, make_scheme
 from repro.sim.simulator import run_trace

@@ -22,7 +22,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import CampaignError, ConfigError, ReproError
 from repro.common.jsonl import SKIP, STRICT, TAIL, read_jsonl
-from repro.obs import Tracer
+from repro.obs.tracer import Tracer
 from repro.obs.benchhistory import append_history, load_history, make_entry
 from repro.obs.events import event_from_dict
 from repro.obs.fleet import load_fleet

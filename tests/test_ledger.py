@@ -23,7 +23,8 @@ from repro.common.errors import (
     WatchdogTimeout,
 )
 from repro.core.config import StemConfig
-from repro.obs import NULL_TRACER, RingBufferSink, Tracer
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.obs.events import (
     CoopHit,
     Coupling,

@@ -14,15 +14,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.common.stats import CacheStats, counter_field_names
 from repro.core.stem_cache import StemCache
-from repro.obs import (
-    NULL_TRACER,
-    JsonlSink,
-    RingBufferSink,
-    Tracer,
-    build_manifest,
-    load_events,
-    summarize_events,
-)
 from repro.obs.events import (
     EVENT_TYPES,
     Coupling,
@@ -43,10 +34,13 @@ from repro.obs.inspect import (
     event_counts,
     per_set_counts,
     spill_fanout,
+    summarize_events,
     swap_cadence,
 )
-from repro.obs.manifest import describe_scheme
+from repro.obs.manifest import build_manifest, describe_scheme
 from repro.obs.profile import PhaseTimer, RunProfiler
+from repro.obs.sinks import JsonlSink, RingBufferSink, load_events
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.config import PAPER_SCHEMES, make_scheme
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace

@@ -1,11 +1,20 @@
 """Tests for the parallel grid engine, batch fast path, and run cache."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 import repro.sim.config as sim_config
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError, SimulationError
-from repro.obs import RingBufferSink, Tracer
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.obs.ledger import LedgerSink
 from repro.sim.cache import RunCache, result_from_dict, result_to_dict
 from repro.sim.config import ExperimentScale, make_scheme
@@ -258,6 +267,49 @@ class TestParallelEquivalence:
         parallel = run_benchmarks(["lru", "stem"], max_workers=2, **kwargs)
         assert _matrix_fingerprint(parallel) == _matrix_fingerprint(serial)
         assert serial.workloads == ["vpr", "mcf", "omnetpp"]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method_matches_serial(self, method):
+        # Every other pool test forks.  A spawned or forkserver worker
+        # starts from a fresh interpreter and imports the worker
+        # functions by module name, so this covers both trace synthesis
+        # (ordered_map) and cells (ParallelRunner) under the import
+        # graph those workers really load.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        script = textwrap.dedent(f"""
+            import multiprocessing
+            multiprocessing.set_start_method({method!r})
+            from repro.sim.config import ExperimentScale
+            from repro.sim.runner import run_benchmarks
+
+            def cells(matrix):
+                assert not matrix.failures, matrix.failures
+                rows = []
+                for workload in matrix.workloads:
+                    for scheme in matrix.schemes:
+                        result = matrix.get(workload, scheme)
+                        rows.append((result.stats.as_dict(), result.metrics,
+                                     result.manifest.content_hash))
+                return matrix.workloads, matrix.schemes, rows
+
+            kwargs = dict(
+                benchmarks=["vpr", "omnetpp"], seed=3,
+                scale=ExperimentScale(
+                    num_sets=64, associativity=16, trace_length=4_000
+                ),
+            )
+            serial = run_benchmarks(["lru", "stem"], **kwargs)
+            pooled = run_benchmarks(["lru", "stem"], max_workers=2, **kwargs)
+            assert cells(pooled) == cells(serial)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigError, match="max_workers"):

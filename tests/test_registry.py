@@ -105,6 +105,17 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_public_names_resolve_from_their_defining_module(self):
+        # The lazy table must name where each object is defined, never
+        # a module that merely imports it.
+        for name, home in repro._HOMES.items():
+            value = getattr(repro, name)
+            assert value is getattr(importlib.import_module(home), name)
+            assert getattr(value, "__module__", home) == home, name
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+
     def test_quickstart_snippet_works(self):
         geometry = repro.CacheGeometry(num_sets=32, associativity=4)
         cache = repro.StemCache(geometry)

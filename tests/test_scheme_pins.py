@@ -41,7 +41,8 @@ import pytest
 import repro.obs.manifest as manifest_module
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import StemConfig
-from repro.obs import RingBufferSink, Tracer
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.obs.manifest import build_manifest
 from repro.resilience.campaign import run_fault_campaign
 from repro.sim.config import ExperimentScale, make_scheme

@@ -12,7 +12,8 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.common.rng import Lfsr
-from repro.core import StemCache, StemConfig
+from repro.core.config import StemConfig
+from repro.core.stem_cache import StemCache
 
 
 def make_cache(num_sets=2, associativity=4, rng=None, **config):
