@@ -16,8 +16,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.capacity_demand import profile_capacity_demand
 from repro.analysis.classification import WorkloadClassification, classify_trace
 from repro.analysis.reuse import ReuseSummary, lru_miss_curve, summarize_reuse
-from repro.sim.config import ExperimentScale, PAPER_SCHEMES, make_scheme
-from repro.sim.simulator import RunResult, run_trace
+from repro.sim.config import ExperimentScale, PAPER_SCHEMES
+from repro.sim.runner import run_matrix
+from repro.sim.simulator import RunResult
 from repro.workloads.spec_like import make_benchmark_trace
 from repro.workloads.trace import Trace
 
@@ -67,23 +68,16 @@ def build_report(
         num_sets=scale.num_sets,
         associativities=[2, 4, 8, 16, 32],
     )
-    results: Dict[str, RunResult] = {}
-    for scheme in schemes:
-        cache = make_scheme(scheme, scale.geometry())
-        result = run_trace(
-            cache,
-            trace,
-            warmup_fraction=scale.warmup_fraction,
-            machine=scale.machine,
-        )
-        results[result.scheme] = result
+    matrix = run_matrix([trace], schemes, scale=scale, isolate=False)
     return WorkloadReport(
         trace_name=trace.name,
         classification=classification,
         reuse=reuse,
         demand_bands=profile.mean_distribution(),
         miss_curve=curve,
-        scheme_results=results,
+        scheme_results={
+            result.scheme: result for result in matrix.results()
+        },
     )
 
 

@@ -131,14 +131,28 @@ def _scale_from(args: argparse.Namespace) -> ExperimentScale:
     )
 
 
-def _finish_profile(profiler: RunProfiler, args: argparse.Namespace) -> None:
-    """Shared ``--profile`` / ``--profile-json`` epilogue."""
-    if getattr(args, "profile", False):
+def _finish_profile(results: list, args: argparse.Namespace,
+                    run_cache=None) -> None:
+    """Shared ``--profile`` / ``--profile-json`` epilogue.
+
+    The profile is a view over the returned ``results``: each manifest
+    carries its run's phase timings.  ``run_cache`` is the cache the
+    command opened, so its counters cover this command's grid alone.
+    """
+    if not (args.profile or args.profile_json):
+        return
+    profiler = RunProfiler()
+    for result in results:
+        profiler.add(result)
+    if run_cache is not None:
+        profiler.note_run_cache(
+            run_cache.hits, run_cache.misses, run_cache.corrupt_entries
+        )
+    if args.profile:
         print(profiler.render())
-    profile_json = getattr(args, "profile_json", None)
-    if profile_json:
-        profiler.save_bench_json(profile_json)
-        print(f"wrote profile report to {profile_json}")
+    if args.profile_json:
+        profiler.save_bench_json(args.profile_json)
+        print(f"wrote profile report to {args.profile_json}")
 
 
 def _in_process_run(scheme: str, benchmark: str, scale, **options):
@@ -185,38 +199,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.save_run:
         save_run(args.save_run, result)
         print(f"wrote run to {args.save_run}")
-    if args.profile or args.profile_json:
-        profiler = RunProfiler()
-        profiler.add(result)
-        _finish_profile(profiler, args)
+    _finish_profile([result], args)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.sim.config import make_scheme
-    from repro.sim.simulator import run_trace
+    from repro.sim.runner import run_matrix
 
     scale = _scale_from(args)
     trace = make_benchmark_trace(
         args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
     )
-    baseline = None
-    profiler = RunProfiler()
+    schemes = [scheme.strip() for scheme in args.schemes.split(",")]
+    results = run_matrix(
+        [trace], schemes, scale=scale, isolate=False
+    ).results()
+    baseline = results[0].mpki
     print(f"{'scheme':>10s} {'MPKI':>9s} {'AMAT':>9s} {'CPI':>8s} "
           f"{'vs LRU':>8s}")
-    for scheme in args.schemes.split(","):
-        cache = make_scheme(scheme.strip(), scale.geometry())
-        result = run_trace(
-            cache, trace, warmup_fraction=scale.warmup_fraction
-        )
-        profiler.add(result)
-        if baseline is None:
-            baseline = result.mpki
+    for result in results:
         relative = result.mpki / baseline if baseline else float("nan")
         print(f"{result.scheme:>10s} {result.mpki:>9.3f} "
               f"{result.amat:>9.2f} {result.cpi:>8.3f} {relative:>8.3f}")
-    if args.profile or args.profile_json:
-        _finish_profile(profiler, args)
+    _finish_profile(results, args)
     return 0
 
 
@@ -244,12 +249,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     run_cache = None
     if not args.no_run_cache:
         run_cache = RunCache(args.run_cache)
-    profiler = RunProfiler()
     matrix = run_benchmarks(
         schemes,
         benchmarks=benchmarks,
         scale=scale,
-        profiler=profiler,
         max_workers=args.jobs,
         run_cache=run_cache,
         telemetry_dir=args.telemetry,
@@ -265,17 +268,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.telemetry:
         print(f"telemetry written to {args.telemetry} "
               f"(watch with: repro top {args.telemetry})")
-    if args.profile or args.profile_json:
-        _finish_profile(profiler, args)
+    _finish_profile(matrix.results(), args, run_cache)
     return 1 if matrix.failures else 0
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.sim.campaign import run_campaign
 
-    profiler: Optional[RunProfiler] = None
-    if args.profile or args.profile_json:
-        profiler = RunProfiler()
     outcome = run_campaign(
         args.spec,
         directory=args.dir,
@@ -283,7 +282,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         fresh=args.fresh,
         run_cache_dir=args.run_cache,
         telemetry_dir=args.telemetry,
-        profiler=profiler,
         index_db=args.index,
     )
     print(f"campaign {outcome.spec.name}: {outcome.total_cells} cells — "
@@ -297,13 +295,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.telemetry:
         print(f"telemetry written to {args.telemetry} "
               f"(watch with: repro top {args.telemetry})")
-    if profiler is not None:
-        _finish_profile(profiler, args)
+    _finish_profile(outcome.matrix.results(), args)
     return 1 if outcome.quarantined else 0
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.sim.campaign import campaign_status
+    from repro.sim.journal import campaign_status
 
     print(campaign_status(args.dir), end="")
     return 0
@@ -762,8 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--telemetry", metavar="DIR", default=None,
-        help="write live fleet telemetry (spans, heartbeats, "
-             "status.json) to DIR; watch it with 'repro top DIR'"
+        help="write live fleet telemetry (spans, heartbeats) to DIR; "
+             "watch it with 'repro top DIR'"
     )
     bench_parser.add_argument(
         "--history", action="store_true",

@@ -3,19 +3,22 @@
 The paper evaluates the 15 benchmarks once under every scheme and then
 reads three different metrics off the same runs (MPKI, AMAT, CPI).  We
 do the same: :func:`run_evaluation` produces the full
-:class:`~repro.sim.results.ResultMatrix`, and each figure module
-projects its metric out of it.  The matrix is cached per scale inside
-the module so invoking figure7 + figure8 + figure9 in one process costs
-one simulation pass.
+:class:`~repro.sim.results.ResultMatrix`, :func:`normalized` projects
+one metric out of it, and :func:`print_figure` renders the projection —
+each figure module names only its metric and its title.  The matrix is
+cached per scale inside the module so invoking figure7 + figure8 +
+figure9 in one process costs one simulation pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.sim.config import PAPER_SCHEMES, ExperimentScale
-from repro.sim.results import ResultMatrix
+from repro.sim.results import ResultMatrix, format_table
 from repro.sim.runner import run_benchmarks
+from repro.sim.simulator import RunResult
+from repro.workloads.spec_like import benchmark_names
 
 _CACHE: Dict[Tuple, ResultMatrix] = {}
 
@@ -43,3 +46,28 @@ def run_evaluation(
 def clear_cache() -> None:
     """Drop memoised evaluation runs (tests use this)."""
     _CACHE.clear()
+
+
+def normalized(
+    metric: Callable[[RunResult], float],
+    scale: Optional[ExperimentScale] = None,
+    schemes: Sequence[str] = PAPER_SCHEMES,
+    benchmarks: Optional[Sequence[str]] = None,
+) -> Dict[str, Dict[str, float]]:
+    """``metric`` normalized to LRU: workload rows, scheme columns and
+    the geomean row, over the evaluation grid."""
+    matrix = run_evaluation(scale=scale, schemes=schemes,
+                            benchmarks=benchmarks)
+    return matrix.normalized_table(metric)
+
+
+def print_figure(title: str, table: Dict[str, Dict[str, float]]) -> str:
+    """Print a normalized table in the paper's benchmark order."""
+    ordered = {
+        name: table[name] for name in benchmark_names() if name in table
+    }
+    if "Geomean" in table:
+        ordered["Geomean"] = table["Geomean"]
+    text = format_table(ordered, columns=list(PAPER_SCHEMES), title=title)
+    print(text)
+    return text

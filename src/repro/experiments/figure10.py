@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 from repro.experiments.figure3 import (
     DEFAULT_ASSOCIATIVITIES,
     SweepResult,
+    print_sweeps,
     run as _run_figure3,
 )
 from repro.sim.config import ExperimentScale, PAPER_SCHEMES
-from repro.sim.results import format_series
 
 #: Figure 10 plots every scheme including STEM.
 FIGURE10_SCHEMES = PAPER_SCHEMES
@@ -45,26 +45,10 @@ def main(
     associativities: Sequence[int] = DEFAULT_ASSOCIATIVITIES,
 ) -> str:
     """Render the two Figure 10 sweeps as MPKI tables."""
-    blocks = []
-    for benchmark in ("omnetpp", "ammp"):
-        result = run(
-            benchmark, associativities=associativities, scale=scale
-        )
-        blocks.append(
-            format_series(
-                result.mpki,
-                result.associativities,
-                x_label="scheme\\assoc",
-                title=(
-                    f"Figure 10 ({benchmark}): MPKI vs associativity "
-                    "(with STEM)"
-                ),
-                precision=2,
-            )
-        )
-    text = "\n\n".join(blocks)
-    print(text)
-    return text
+    return print_sweeps(
+        "Figure 10 ({benchmark}): MPKI vs associativity (with STEM)",
+        FIGURE10_SCHEMES, associativities, scale,
+    )
 
 
 if __name__ == "__main__":

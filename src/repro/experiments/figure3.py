@@ -62,12 +62,17 @@ def run(
     )
 
 
-def main(
+def print_sweeps(
+    title: str,
+    schemes: Sequence[str],
+    associativities: Sequence[int],
     scale: Optional[ExperimentScale] = None,
-    schemes: Sequence[str] = FIGURE3_SCHEMES,
-    associativities: Sequence[int] = DEFAULT_ASSOCIATIVITIES,
 ) -> str:
-    """Render the two Figure 3 sweeps as MPKI tables."""
+    """Print the omnetpp and ammp sweeps as MPKI tables.
+
+    ``title`` names the figure; its ``{benchmark}`` field is filled in
+    per sweep.  Figure 10 prints through this too.
+    """
     blocks = []
     for benchmark in ("omnetpp", "ammp"):
         result = run(
@@ -76,21 +81,30 @@ def main(
             associativities=associativities,
             scale=scale,
         )
-        series = {
-            scheme: result.mpki[scheme] for scheme in schemes
-        }
         blocks.append(
             format_series(
-                series,
+                result.mpki,
                 result.associativities,
                 x_label="scheme\\assoc",
-                title=f"Figure 3 ({benchmark}): MPKI vs associativity",
+                title=title.format(benchmark=benchmark),
                 precision=2,
             )
         )
     text = "\n\n".join(blocks)
     print(text)
     return text
+
+
+def main(
+    scale: Optional[ExperimentScale] = None,
+    schemes: Sequence[str] = FIGURE3_SCHEMES,
+    associativities: Sequence[int] = DEFAULT_ASSOCIATIVITIES,
+) -> str:
+    """Render the two Figure 3 sweeps as MPKI tables."""
+    return print_sweeps(
+        "Figure 3 ({benchmark}): MPKI vs associativity",
+        schemes, associativities, scale,
+    )
 
 
 if __name__ == "__main__":

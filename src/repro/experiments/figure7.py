@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.evaluation import run_evaluation
+from repro.experiments.evaluation import normalized, print_figure
 from repro.sim.config import ExperimentScale, PAPER_SCHEMES
-from repro.sim.results import format_table
-from repro.workloads.spec_like import benchmark_names
 
 
 def run(
@@ -26,25 +24,12 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Normalized-MPKI table (workload rows, scheme columns, + geomean)."""
-    matrix = run_evaluation(scale=scale, schemes=schemes, benchmarks=benchmarks)
-    return matrix.normalized_table(lambda result: result.mpki)
+    return normalized(lambda result: result.mpki, scale, schemes, benchmarks)
 
 
 def main(scale: Optional[ExperimentScale] = None) -> str:
     """Render Figure 7 in the paper's benchmark order."""
-    table = run(scale=scale)
-    ordered = {
-        name: table[name] for name in benchmark_names() if name in table
-    }
-    if "Geomean" in table:
-        ordered["Geomean"] = table["Geomean"]
-    text = format_table(
-        ordered,
-        columns=list(PAPER_SCHEMES),
-        title="Figure 7: MPKI normalized to LRU",
-    )
-    print(text)
-    return text
+    return print_figure("Figure 7: MPKI normalized to LRU", run(scale=scale))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.metrics import improvement_over_baseline
-from repro.experiments.evaluation import run_evaluation
+from repro.experiments.evaluation import normalized
 from repro.sim.config import ExperimentScale, PAPER_SCHEMES
 
 #: The paper's reported geomean improvements over LRU, in percent.
@@ -41,11 +41,10 @@ class HeadlineResult:
 
 def run(scale: Optional[ExperimentScale] = None) -> HeadlineResult:
     """Compute geomean improvements for every non-baseline scheme."""
-    matrix = run_evaluation(scale=scale)
     tables = {
-        "mpki": matrix.normalized_table(lambda r: r.mpki)["Geomean"],
-        "amat": matrix.normalized_table(lambda r: r.amat)["Geomean"],
-        "cpi": matrix.normalized_table(lambda r: r.cpi)["Geomean"],
+        "mpki": normalized(lambda r: r.mpki, scale)["Geomean"],
+        "amat": normalized(lambda r: r.amat, scale)["Geomean"],
+        "cpi": normalized(lambda r: r.cpi, scale)["Geomean"],
     }
     improvements: Dict[str, Dict[str, float]] = {}
     for scheme in PAPER_SCHEMES:

@@ -12,12 +12,12 @@ how much headroom set-granular hardware still leaves on the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
 from repro.policies.belady import opt_misses
-from repro.sim.config import ExperimentScale, PAPER_SCHEMES, make_scheme
-from repro.sim.simulator import run_trace
+from repro.sim.config import ExperimentScale, PAPER_SCHEMES
+from repro.sim.runner import run_matrix
 from repro.workloads.spec_like import make_benchmark_trace
 
 
@@ -49,27 +49,31 @@ def run(
     clean bound, so the schemes are measured the same way here.
     """
     scale = scale if scale is not None else ExperimentScale.default()
-    opt: Dict[str, int] = {}
-    misses: Dict[str, Dict[str, int]] = {}
-    capacity = scale.geometry().num_lines
-    for name in benchmarks:
-        trace = make_benchmark_trace(
+    geometry = scale.geometry()
+    traces = [
+        make_benchmark_trace(
             name, num_sets=scale.num_sets, length=scale.trace_length
         )
-        blocks = [
-            scale.geometry().mapper.block_address(a) for a in trace.addresses
-        ]
-        opt[name] = opt_misses(blocks, capacity)
-        misses[name] = {}
-        for scheme in schemes:
-            cache = make_scheme(scheme, scale.geometry())
-            result = run_trace(cache, trace, warmup_fraction=0.0)
-            misses[name][result.scheme] = result.stats.misses
+        for name in benchmarks
+    ]
+    opt = {
+        name: opt_misses(
+            [geometry.mapper.block_address(a) for a in trace.addresses],
+            geometry.num_lines,
+        )
+        for name, trace in zip(benchmarks, traces)
+    }
+    matrix = run_matrix(
+        traces, schemes, scale=replace(scale, warmup_fraction=0.0),
+        isolate=False,
+    )
     return OptGapResult(
         benchmarks=list(benchmarks),
         schemes=list(schemes),
         opt_misses=opt,
-        scheme_misses=misses,
+        scheme_misses=matrix.metric_table(
+            lambda result: result.stats.misses
+        ),
     )
 
 

@@ -9,11 +9,11 @@ benchmark's class from the trace alone (Figure 6's taxonomy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.classification import classify_trace
-from repro.sim.config import ExperimentScale, make_scheme
-from repro.sim.simulator import run_trace
+from repro.sim.config import ExperimentScale
+from repro.sim.runner import run_matrix
 from repro.workloads.spec_like import BENCHMARKS, benchmark_names, make_benchmark_trace
 
 
@@ -34,16 +34,17 @@ def run(
 ) -> List[Table2Row]:
     """Measure LRU MPKI (and optionally re-classify) every benchmark."""
     scale = scale if scale is not None else ExperimentScale.default()
-    rows: List[Table2Row] = []
-    for name in benchmark_names():
-        spec = BENCHMARKS[name]
-        trace = make_benchmark_trace(
+    names = benchmark_names()
+    traces = [
+        make_benchmark_trace(
             name, num_sets=scale.num_sets, length=scale.trace_length
         )
-        cache = make_scheme("LRU", scale.geometry())
-        result = run_trace(
-            cache, trace, warmup_fraction=scale.warmup_fraction
-        )
+        for name in names
+    ]
+    matrix = run_matrix(traces, ["LRU"], scale=scale, isolate=False)
+    rows: List[Table2Row] = []
+    for name, trace in zip(names, traces):
+        spec = BENCHMARKS[name]
         label = ""
         if classify:
             label = classify_trace(
@@ -56,7 +57,7 @@ def run(
                 benchmark=name,
                 paper_class=spec.spec_class,
                 paper_mpki=spec.paper_mpki_lru,
-                measured_mpki=result.mpki,
+                measured_mpki=matrix.get(name, "LRU").mpki,
                 classifier_label=label,
             )
         )

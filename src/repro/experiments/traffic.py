@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.sim.config import ExperimentScale, PAPER_SCHEMES, make_scheme
-from repro.sim.simulator import run_trace
+from repro.sim.config import ExperimentScale, PAPER_SCHEMES
+from repro.sim.runner import run_matrix
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 
 #: Fraction of accesses marked as writes for the traffic runs.
@@ -51,35 +51,27 @@ def run(
     """Measure off-chip traffic for the selected benchmarks/schemes."""
     scale = scale if scale is not None else ExperimentScale.default()
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
-    fetches: Dict[str, Dict[str, float]] = {}
-    writebacks: Dict[str, Dict[str, float]] = {}
-    for name in names:
-        trace = make_benchmark_trace(
+    traces = [
+        make_benchmark_trace(
             name,
             num_sets=scale.num_sets,
             length=scale.trace_length,
             write_fraction=write_fraction,
         )
-        fetches[name] = {}
-        writebacks[name] = {}
-        for scheme in schemes:
-            cache = make_scheme(scheme, scale.geometry())
-            result = run_trace(
-                cache,
-                trace,
-                warmup_fraction=scale.warmup_fraction,
-                machine=scale.machine,
-            )
-            kinstr = result.measured_instructions / 1000.0
-            fetches[name][result.scheme] = result.stats.misses / kinstr
-            writebacks[name][result.scheme] = (
-                result.stats.writebacks / kinstr
-            )
+        for name in names
+    ]
+    matrix = run_matrix(traces, schemes, scale=scale, isolate=False)
     return TrafficResult(
         benchmarks=names,
         schemes=list(schemes),
-        fetches_pki=fetches,
-        writebacks_pki=writebacks,
+        fetches_pki=matrix.metric_table(
+            lambda result: result.stats.misses
+            / (result.measured_instructions / 1000.0)
+        ),
+        writebacks_pki=matrix.metric_table(
+            lambda result: result.stats.writebacks
+            / (result.measured_instructions / 1000.0)
+        ),
     )
 
 

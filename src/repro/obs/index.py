@@ -50,12 +50,11 @@ would bypass.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.common.errors import ReproError
 from repro.obs.benchhistory import (
@@ -64,6 +63,9 @@ from repro.obs.benchhistory import (
     detect_regressions,
     load_history,
 )
+
+if TYPE_CHECKING:
+    import sqlite3
 
 #: Default index location: one file per workspace, beside
 #: ``.repro-run-cache``.
@@ -225,6 +227,11 @@ class ArtifactIndex:
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        # Imported where the connection opens: every command's parser
+        # reads DEFAULT_INDEX_PATH from this module, and only an open
+        # index needs sqlite3.
+        import sqlite3
+
         self._connection = sqlite3.connect(
             self.path, check_same_thread=False
         )

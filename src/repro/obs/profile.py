@@ -4,9 +4,9 @@
 measured loops with :func:`time.perf_counter` and records them in the
 run manifest; this module aggregates those timings across runs:
 
-* :class:`RunProfiler` — collect per-run phase timings from
-  ``RunResult`` objects (the runner and CLI feed it), render a text
-  report, and export a ``pytest-benchmark``-style JSON document
+* :class:`RunProfiler` — collect per-run phase timings from the
+  ``RunResult`` objects a grid returned (the CLI feeds it), render a
+  text report, and export a ``pytest-benchmark``-style JSON document
   (compatible with the ``BENCH_*.json`` artefacts the benchmark
   harness produces) so later optimisation PRs can diff throughput.
 * :class:`PhaseTimer` — a context manager for timing arbitrary blocks
@@ -70,9 +70,9 @@ class PhaseTimer:
 class RunProfiler:
     """Accumulates :class:`ProfileRecord` rows across a batch of runs.
 
-    When grids run with a content-addressed run cache, the runner calls
-    :meth:`note_run_cache` so the report can show how much simulation
-    the cache avoided.
+    When a grid ran with a content-addressed run cache, its caller
+    passes the cache's counters to :meth:`note_run_cache` so the report
+    can show how much simulation the cache avoided.
     """
 
     def __init__(self) -> None:
@@ -96,13 +96,17 @@ class RunProfiler:
         self.run_cache_corrupt += corrupt
 
     def add(self, result: Any) -> Optional[ProfileRecord]:
-        """Ingest one ``RunResult`` (reads its attached manifest)."""
+        """Ingest one ``RunResult`` (reads its attached manifest).
+
+        Scheme and trace come from the manifest too, so a campaign's
+        relabelled results (``DIP@64x8#s2``) still group by scheme.
+        """
         manifest = getattr(result, "manifest", None)
         if manifest is None:
             return None
         record = ProfileRecord(
-            scheme=result.scheme,
-            trace_name=result.trace_name,
+            scheme=manifest.scheme,
+            trace_name=manifest.trace_name,
             warmup_seconds=manifest.warmup_seconds,
             measured_seconds=manifest.measured_seconds,
             measured_accesses=manifest.measured_accesses,

@@ -11,7 +11,8 @@ What distinguishes a campaign from ``repro bench`` is the durability
 contract (DESIGN.md §12):
 
 * Every cell transition is journaled to an append-only
-  ``campaign.jsonl`` — ``cell_start`` when a cell is handed to a
+  ``campaign.jsonl`` (:mod:`repro.sim.journal`, which holds the
+  format) — ``cell_start`` when a cell is handed to a
   worker, ``cell_done`` (with the result's content digest and cache
   key) or ``cell_failed`` (with the structured
   :class:`~repro.sim.results.RunFailure`) when it lands.  Each record
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -59,13 +60,21 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.io import atomic_write_text
-from repro.common.jsonl import TAIL, JsonlAppender, JsonlCorruption, read_jsonl
 from repro.obs.htmlreport import render_campaign_html
-from repro.obs.profile import RunProfiler
+from repro.obs.index import ArtifactIndex
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import RetryPolicy
 from repro.sim.cache import RunCache, result_to_dict
 from repro.sim.config import canonical_scheme_name
+# The journal's names stay importable from here, where campaigns run.
+from repro.sim.journal import (
+    JOURNAL_FORMAT,
+    CampaignJournal,
+    JournalState,
+    campaign_status,
+    load_journal,
+    replay_journal,
+)
 from repro.sim.options import RunOptions
 from repro.sim.parallel import (
     CellObserver,
@@ -82,9 +91,6 @@ from repro.workloads.benchmark_sets import (
 )
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 from repro.workloads.trace import Trace
-
-#: Journal format marker, recorded in ``campaign_start``.
-JOURNAL_FORMAT = 1
 
 #: Keys a campaign spec document may carry at the top level.
 _SPEC_KEYS = frozenset({
@@ -568,116 +574,6 @@ def result_digest(result: RunResult) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class CampaignJournal(JsonlAppender):
-    """Append-only ``campaign.jsonl`` writer with per-record durability.
-
-    Every record is one JSON line, flushed *and fsynced* before
-    :meth:`append` returns: after a crash the journal is complete up to
-    the final record, which at worst is torn mid-line — a state
-    :func:`load_journal` tolerates.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        super().__init__(path, fsync=True)
-
-    def append(self, kind: str, **fields: Any) -> None:
-        self.write({"kind": kind, **fields})
-
-
-def _journal_record(record: Any) -> Dict[str, Any]:
-    if not isinstance(record, dict):
-        raise ValueError("record is not an object")
-    return record
-
-
-def load_journal(
-    path: Union[str, Path]
-) -> Tuple[List[Dict[str, Any]], bool]:
-    """Read journal records, tolerating a torn final line.
-
-    Returns ``(records, truncated)``; ``truncated`` is True when bytes
-    follow the last newline — the signature of a crash mid-append,
-    which per-record fsync guarantees is the *only* possible damage.  A
-    malformed line anywhere else is real corruption and raises
-    :class:`~repro.common.errors.CampaignError`.  A missing journal
-    reads as empty.
-    """
-    path = Path(path)
-    try:
-        read = read_jsonl(path, TAIL, convert=_journal_record)
-    except FileNotFoundError:
-        return [], False
-    except OSError as exc:
-        raise CampaignError(
-            f"cannot read campaign journal {path}: {exc}"
-        ) from exc
-    except JsonlCorruption as exc:
-        raise CampaignError(
-            f"campaign journal {path} line {exc.line} is corrupt "
-            f"(not torn-tail damage): {exc.reason}"
-        ) from exc
-    return read.records, read.torn
-
-
-@dataclass
-class JournalState:
-    """The replayed view of a campaign journal."""
-
-    spec_digest: Optional[str] = None
-    name: Optional[str] = None
-    total_cells: Optional[int] = None
-    started: Dict[int, str] = field(default_factory=dict)
-    completed: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    failed: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    truncated: bool = False
-    records: int = 0
-
-    @property
-    def in_flight(self) -> List[int]:
-        """Cells started but never finished — a worker died on them."""
-        return sorted(
-            index for index in self.started
-            if index not in self.completed and index not in self.failed
-        )
-
-
-def replay_journal(path: Union[str, Path]) -> JournalState:
-    """Fold journal records into per-cell terminal state (last wins).
-
-    A cell record is ignored unless its ``cell`` is an integer; a
-    ``cell_done`` also needs a string ``digest`` and a ``cell_failed``
-    an object ``failure``, the fields every reader of the state takes.
-    """
-    records, truncated = load_journal(path)
-    state = JournalState(truncated=truncated, records=len(records))
-    for record in records:
-        kind = record.get("kind")
-        if kind == "campaign_start":
-            state.spec_digest = record.get("spec_digest")
-            state.name = record.get("name")
-            state.total_cells = record.get("total_cells")
-        elif kind == "cell_start":
-            index = record.get("cell")
-            if isinstance(index, int):
-                state.started[index] = str(record.get("id", ""))
-        elif kind == "cell_done":
-            index = record.get("cell")
-            if isinstance(index, int) and isinstance(
-                record.get("digest"), str
-            ):
-                state.completed[index] = record
-                state.failed.pop(index, None)
-        elif kind == "cell_failed":
-            index = record.get("cell")
-            if isinstance(index, int) and isinstance(
-                record.get("failure"), dict
-            ):
-                state.failed[index] = record
-                state.completed.pop(index, None)
-        # campaign_resume / campaign_end carry no per-cell state.
-    return state
-
-
 class _JournalObserver(CellObserver):
     """Streams runner lifecycle callbacks into the campaign journal."""
 
@@ -860,7 +756,6 @@ def run_campaign(
     fresh: bool = False,
     run_cache_dir: Optional[Union[str, Path]] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
-    profiler: Optional[RunProfiler] = None,
     index_db: Optional[Union[str, Path]] = None,
 ) -> CampaignOutcome:
     """Run (or resume) the campaign described by ``spec_path``.
@@ -956,7 +851,6 @@ def run_campaign(
             runner = ParallelRunner(
                 max_workers=jobs,
                 run_cache=run_cache,
-                profiler=profiler,
                 telemetry_dir=telemetry_dir,
                 observer=_JournalObserver(journal, cell_ids),
             )
@@ -1041,9 +935,6 @@ def run_campaign(
         ),
     )
     if index_db is not None:
-        # Imported here so a campaign without an index loads no sqlite3.
-        from repro.obs.index import ArtifactIndex
-
         with ArtifactIndex(index_db) as artifact_index:
             artifact_index.ingest(directory)
     return CampaignOutcome(
@@ -1062,41 +953,3 @@ def run_campaign(
         },
     )
 
-
-def campaign_status(directory: Union[str, Path]) -> str:
-    """Human-readable journal replay for ``repro campaign status``."""
-    directory = Path(directory)
-    journal_path = directory / "campaign.jsonl"
-    if not journal_path.exists():
-        raise CampaignError(f"no campaign journal at {journal_path}")
-    state = replay_journal(journal_path)
-    name = state.name or directory.name
-    done = len(state.completed)
-    failed = len(state.failed)
-    in_flight = len(state.in_flight)
-    lines: List[str] = []
-    if state.total_cells is not None:
-        pendings = max(0, state.total_cells - done - failed - in_flight)
-        lines.append(
-            f"campaign {name}: {state.total_cells} cells — {done} done, "
-            f"{failed} quarantined, {in_flight} in flight, "
-            f"{pendings} pending"
-        )
-    else:
-        lines.append(
-            f"campaign {name}: {done} done, {failed} quarantined, "
-            f"{in_flight} in flight (no campaign_start record)"
-        )
-    if state.truncated:
-        lines.append(
-            "journal tail is torn (crash mid-append) — tolerated; "
-            "resume re-runs any cell the torn record finished"
-        )
-    for index in sorted(state.failed):
-        record = state.failed[index]
-        failure = _failure_from_record(record)
-        lines.append(
-            f"  quarantined cell {index:05d} {record.get('id', '?')}: "
-            f"{failure.error_type}: {failure.message}"
-        )
-    return "\n".join(lines) + "\n"

@@ -9,13 +9,12 @@ by the names the paper uses, so experiments are driven by declarative
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.cache.basecache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.common.rng import Lfsr
-from repro.core.config import StemConfig
 from repro.obs.tracer import Tracer
 from repro.core.stem_cache import StemCache
 from repro.policies.registry import make_policy
@@ -39,96 +38,45 @@ class MachineConfig:
     cpi: CpiModel = PAPER_CPI
 
 
-def _policy_cache(policy_name: str) -> Callable[..., SetAssociativeCache]:
-    def build(geometry: CacheGeometry, seed: int = 0xACE1,
-              tracer: Optional[Tracer] = None,
-              **_: object) -> SetAssociativeCache:
-        return SetAssociativeCache(
-            geometry, make_policy(policy_name), rng=Lfsr(seed=seed),
-            tracer=tracer,
+#: Scheme key -> the scheme's class, or the name of the replacement
+#: policy a plain set-associative cache runs (a policy's key is its
+#: name).  Display names are each class's ``name``; spelling aliases
+#: map to the same entry.
+_SCHEMES: Dict[str, Union[type, str]] = {
+    **{policy: policy for policy in (
+        "lru", "lip", "bip", "dip", "fifo", "random", "nru", "srrip",
+        "drrip", "pelifo",
+    )},
+    "v-way": VwayCache,
+    "vway": VwayCache,
+    "sbc": SbcCache,
+    "staticsbc": StaticSbcCache,
+    "static-sbc": StaticSbcCache,
+    "rocs": PageColoringCache,
+    "victim": VictimCache,
+    "stem": StemCache,
+}
+
+#: Schemes that carry no tracepoints, so take no tracer.
+_UNTRACED = (PageColoringCache, VictimCache)
+
+
+def _display_name(entry: Union[type, str]) -> str:
+    return make_policy(entry).name if isinstance(entry, str) else entry.name
+
+
+def _entry(name: str) -> Union[type, str]:
+    entry = _SCHEMES.get(name.lower())
+    if entry is None:
+        raise ConfigError(
+            f"unknown scheme {name!r}; available: {', '.join(available_schemes())}"
         )
-
-    return build
-
-
-def _build_vway(geometry: CacheGeometry, seed: int = 0xACE1,
-                tracer: Optional[Tracer] = None,
-                **kwargs: object) -> VwayCache:
-    return VwayCache(geometry, rng=Lfsr(seed=seed), tracer=tracer, **kwargs)
-
-
-def _build_sbc(geometry: CacheGeometry, seed: int = 0xACE1,
-               tracer: Optional[Tracer] = None,
-               **kwargs: object) -> SbcCache:
-    return SbcCache(geometry, rng=Lfsr(seed=seed), tracer=tracer, **kwargs)
-
-
-def _build_static_sbc(geometry: CacheGeometry, seed: int = 0xACE1,
-                      tracer: Optional[Tracer] = None,
-                      **kwargs: object) -> StaticSbcCache:
-    return StaticSbcCache(
-        geometry, rng=Lfsr(seed=seed), tracer=tracer, **kwargs
-    )
-
-
-def _build_rocs(geometry: CacheGeometry, seed: int = 0xACE1,
-                tracer: Optional[Tracer] = None,
-                **kwargs: object) -> PageColoringCache:
-    # ROCS carries no tracepoints yet; the tracer is accepted for a
-    # uniform factory signature and simply never receives events.
-    return PageColoringCache(geometry, rng=Lfsr(seed=seed), **kwargs)
-
-
-def _build_victim(geometry: CacheGeometry, seed: int = 0xACE1,
-                  tracer: Optional[Tracer] = None,
-                  **kwargs: object) -> VictimCache:
-    # Victim buffer carries no tracepoints yet; see _build_rocs.
-    return VictimCache(geometry, rng=Lfsr(seed=seed), **kwargs)
-
-
-def _build_stem(geometry: CacheGeometry, seed: int = 0xACE1,
-                config: Optional[StemConfig] = None,
-                tracer: Optional[Tracer] = None,
-                **_: object) -> StemCache:
-    return StemCache(
-        geometry, config=config, rng=Lfsr(seed=seed), tracer=tracer
-    )
-
-
-_SCHEME_FACTORIES: Dict[str, Callable] = {
-    "lru": _policy_cache("lru"),
-    "lip": _policy_cache("lip"),
-    "bip": _policy_cache("bip"),
-    "dip": _policy_cache("dip"),
-    "fifo": _policy_cache("fifo"),
-    "random": _policy_cache("random"),
-    "nru": _policy_cache("nru"),
-    "srrip": _policy_cache("srrip"),
-    "drrip": _policy_cache("drrip"),
-    "pelifo": _policy_cache("pelifo"),
-    "v-way": _build_vway,
-    "vway": _build_vway,
-    "sbc": _build_sbc,
-    "staticsbc": _build_static_sbc,
-    "static-sbc": _build_static_sbc,
-    "rocs": _build_rocs,
-    "victim": _build_victim,
-    "stem": _build_stem,
-}
-
-#: Canonical display names keyed by lower-case factory name.
-_DISPLAY_NAMES = {
-    "lru": "LRU", "lip": "LIP", "bip": "BIP", "dip": "DIP",
-    "fifo": "FIFO", "random": "Random", "nru": "NRU", "srrip": "SRRIP",
-    "drrip": "DRRIP", "pelifo": "PeLIFO", "v-way": "V-Way", "vway": "V-Way",
-    "sbc": "SBC", "staticsbc": "StaticSBC", "static-sbc": "StaticSBC",
-    "rocs": "ROCS", "victim": "Victim", "stem": "STEM",
-}
+    return entry
 
 
 def available_schemes() -> List[str]:
     """Canonical names of every buildable scheme."""
-    return sorted({_DISPLAY_NAMES[key] for key in _SCHEME_FACTORIES})
+    return sorted({_display_name(entry) for entry in _SCHEMES.values()})
 
 
 def registry_scheme_keys() -> List[str]:
@@ -140,24 +88,15 @@ def registry_scheme_keys() -> List[str]:
     wants to cover *every* scheme exactly once (e.g. the throughput
     recorder).
     """
-    keys: List[str] = []
-    seen: set = set()
-    for key in _SCHEME_FACTORIES:
-        display = _DISPLAY_NAMES[key]
-        if display not in seen:
-            seen.add(display)
-            keys.append(key)
-    return keys
+    keys: Dict[str, str] = {}
+    for key, entry in _SCHEMES.items():
+        keys.setdefault(_display_name(entry), key)
+    return list(keys.values())
 
 
 def canonical_scheme_name(name: str) -> str:
     """Map any accepted spelling to the display name used in tables."""
-    key = name.lower()
-    if key not in _DISPLAY_NAMES:
-        raise ConfigError(
-            f"unknown scheme {name!r}; available: {', '.join(available_schemes())}"
-        )
-    return _DISPLAY_NAMES[key]
+    return _display_name(_entry(name))
 
 
 def make_scheme(name: str, geometry: CacheGeometry, seed: int = 0xACE1,
@@ -165,15 +104,21 @@ def make_scheme(name: str, geometry: CacheGeometry, seed: int = 0xACE1,
     """Instantiate the LLC scheme registered under ``name``.
 
     ``tracer`` is handed to schemes that carry tracepoints (all of the
-    paper's competitors); the build seed is stamped on the returned
-    cache as ``cache.seed`` so run manifests can record it.
+    paper's competitors) and ``kwargs`` to a scheme class's constructor
+    (``config=`` for STEM); a policy cache ignores ``kwargs``.  The
+    build seed is stamped on the returned cache as ``cache.seed`` so
+    run manifests can record it.
     """
-    factory = _SCHEME_FACTORIES.get(name.lower())
-    if factory is None:
-        raise ConfigError(
-            f"unknown scheme {name!r}; available: {', '.join(available_schemes())}"
+    entry = _entry(name)
+    rng = Lfsr(seed=seed)
+    if isinstance(entry, str):
+        cache = SetAssociativeCache(
+            geometry, make_policy(entry), rng=rng, tracer=tracer
         )
-    cache = factory(geometry, seed=seed, tracer=tracer, **kwargs)
+    elif issubclass(entry, _UNTRACED):
+        cache = entry(geometry, rng=rng, **kwargs)
+    else:
+        cache = entry(geometry, rng=rng, tracer=tracer, **kwargs)
     cache.seed = seed
     return cache
 

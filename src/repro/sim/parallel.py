@@ -19,7 +19,7 @@ Determinism contract
 * Workers never share mutable state — each returns its finished
   :class:`~repro.sim.simulator.RunResult` (or structured
   :class:`~repro.sim.results.RunFailure`), and the parent merges
-  results, profiler records, and failure lists in canonical cell order.
+  results and failure lists in canonical cell order.
 * Crash tolerance is preserved: an isolated cell still runs through
   :func:`~repro.resilience.harness.guarded_run` inside the worker, so a
   poisoned cell comes back as a ``RunFailure`` record, not a dead pool.
@@ -40,14 +40,12 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from time import perf_counter, sleep
+from time import sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.obs.fleet import load_fleet, write_status
 from repro.obs.manifest import build_manifest
-from repro.obs.profile import RunProfiler
 from repro.obs.telemetry import (
     CellTelemetry,
     GridTelemetry,
@@ -60,9 +58,6 @@ from repro.sim.options import RunOptions
 from repro.sim.results import RunFailure
 from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.trace import Trace
-
-#: Seconds between two ``status.json`` refreshes of a telemetry run.
-STATUS_INTERVAL = 1.0
 
 #: One cell outcome: a finished run or a structured failure record.
 CellOutcome = Union[RunResult, RunFailure]
@@ -285,25 +280,25 @@ class ParallelRunner:
     (DESIGN.md §11): the runner opens a :class:`GridTelemetry` over the
     directory, plans every cell, ships a :class:`TelemetrySpec` into
     each worker (whose :class:`CellTelemetry` writes spans, heartbeats
-    and resource samples), records completions, and refreshes the
-    machine-readable ``status.json`` at most every
-    :data:`STATUS_INTERVAL` seconds — the surface ``repro top``
-    renders.  Telemetry never influences outcomes: matrices are
-    byte-identical with it on or off, serial or parallel.
+    and resource samples) and records completions — the channel
+    ``repro top`` renders.  Telemetry never influences outcomes:
+    matrices are byte-identical with it on or off, serial or parallel.
+
+    Outcomes are all the runner returns.  Views of a grid — the
+    ``--profile`` report, ``status.json`` — are built from them or from
+    the channel by their readers.
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         run_cache: Optional[Any] = None,
-        profiler: Optional[RunProfiler] = None,
         telemetry_dir: Optional[Any] = None,
         observer: Optional[CellObserver] = None,
     ) -> None:
         _check_workers(max_workers)
         self.max_workers = max_workers
         self.run_cache = run_cache
-        self.profiler = profiler
         self.telemetry_dir = telemetry_dir
         self.observer = observer
 
@@ -311,10 +306,10 @@ class ParallelRunner:
         """Execute every cell; returns outcomes in ``specs`` order."""
         if self.telemetry_dir is None:
             return self._run(specs, None)
-        # Telemetry armed: the grid span, per-cell plans, completions
-        # and periodic status.json snapshots flow through the run-dir
-        # channel; the simulation outcomes are byte-identical either
-        # way (the writers only observe).
+        # Telemetry armed: the grid span, per-cell plans and
+        # completions flow through the run-dir channel; the simulation
+        # outcomes are byte-identical either way (the writers only
+        # observe).
         with GridTelemetry(self.telemetry_dir) as grid:
             grid.grid_start(len(specs))
             for spec in specs:
@@ -329,10 +324,6 @@ class ParallelRunner:
                 return self._run(specs, grid)
             finally:
                 grid.grid_end()
-                self._write_status(grid)
-
-    def _write_status(self, grid: GridTelemetry) -> None:
-        write_status(grid.run_dir, load_fleet(grid.run_dir))
 
     def _run(
         self, specs: Sequence[CellSpec], grid: Optional[GridTelemetry]
@@ -341,14 +332,7 @@ class ParallelRunner:
         pending: List[tuple] = []
         run_cache = self.run_cache
         observer = self.observer
-        hits_before = run_cache.hits if run_cache is not None else 0
-        misses_before = run_cache.misses if run_cache is not None else 0
-        corrupt_before = (
-            getattr(run_cache, "corrupt_entries", 0)
-            if run_cache is not None else 0
-        )
         telemetry_spec = grid.spec if grid is not None else None
-        last_status = perf_counter()
         for position, spec in enumerate(specs):
             key = None
             if run_cache is not None:
@@ -363,25 +347,16 @@ class ParallelRunner:
                     continue
             pending.append((position, spec, key))
 
-        def note_done(spec: CellSpec, outcome: CellOutcome) -> None:
-            nonlocal last_status
-            if grid is None:
-                return
-            grid.cell_done(
-                spec.index,
-                "failed" if isinstance(outcome, RunFailure) else "ok",
-            )
-            now = perf_counter()
-            if now - last_status >= STATUS_INTERVAL:
-                last_status = now
-                self._write_status(grid)
-
         def note_finished(
             spec: CellSpec, outcome: CellOutcome, key: Optional[str]
         ) -> None:
             if observer is not None:
                 observer.cell_finished(spec, outcome, False, key)
-            note_done(spec, outcome)
+            if grid is not None:
+                grid.cell_done(
+                    spec.index,
+                    "failed" if isinstance(outcome, RunFailure) else "ok",
+                )
 
         workers = self.max_workers
         if workers is None or workers <= 1 or len(pending) <= 1:
@@ -404,20 +379,6 @@ class ParallelRunner:
                     outcome = future.result()
                     results[position] = self._store(spec, key, outcome)
                     note_finished(spec, outcome, key)
-        if self.profiler is not None:
-            # Profiler records are merged here, in canonical cell order,
-            # from the timing payloads the workers returned — never by
-            # mutating the profiler across processes.
-            for outcome in results:
-                if isinstance(outcome, RunResult):
-                    self.profiler.add(outcome)
-            if run_cache is not None:
-                self.profiler.note_run_cache(
-                    run_cache.hits - hits_before,
-                    run_cache.misses - misses_before,
-                    getattr(run_cache, "corrupt_entries", 0)
-                    - corrupt_before,
-                )
         return list(results)
 
     def _store(

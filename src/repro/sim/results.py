@@ -90,6 +90,12 @@ class ResultMatrix:
             self.schemes.append(failure.scheme)
         self.failures.append(failure)
 
+    def results(self) -> List[RunResult]:
+        """Every finished run, workload-major in the order added."""
+        return [
+            result for row in self._cells.values() for result in row.values()
+        ]
+
     def failure_for(
         self, workload: str, scheme: str
     ) -> Optional[RunFailure]:

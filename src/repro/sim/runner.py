@@ -1,10 +1,5 @@
 """Experiment runner: scheme x workload grids and associativity sweeps.
 
-All entry points accept an optional
-:class:`~repro.obs.profile.RunProfiler`, which collects each run's
-phase timings (already measured by :func:`run_trace`) into one report —
-the substrate behind the CLI's ``--profile`` flags.
-
 Grids are crash-tolerant by default: each (scheme, trace) cell runs
 through :func:`~repro.resilience.harness.guarded_run`, so one poisoned
 cell is recorded as a structured
@@ -22,13 +17,16 @@ cells are assembled back in canonical (trace-major, scheme-minor)
 order, so the resulting matrix is identical regardless of worker
 scheduling.  An optional :class:`~repro.sim.cache.RunCache` skips
 cells whose content-addressed key already holds a stored result.
+
+The grids return results and nothing else.  Each result's manifest
+carries its phase timings, so a profile is a view over the returned
+results (:class:`~repro.obs.profile.RunProfiler`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.profile import RunProfiler
 from repro.sim.config import ExperimentScale
 from repro.sim.options import RunOptions
 from repro.sim.parallel import CellSpec, ParallelRunner, ordered_map
@@ -43,7 +41,6 @@ def run_matrix(
     schemes: Sequence[str],
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
-    profiler: Optional[RunProfiler] = None,
     isolate: bool = True,
     max_workers: Optional[int] = None,
     run_cache=None,
@@ -60,8 +57,8 @@ def run_matrix(
     returned matrix is identical to the serial result on the same
     seeds.  ``run_cache`` (a :class:`~repro.sim.cache.RunCache`) skips
     cells whose inputs already have a stored result.  ``telemetry_dir``
-    arms the live fleet-telemetry channel over that directory — spans,
-    heartbeats, ``status.json`` — without changing any outcome (see
+    arms the live fleet-telemetry channel over that directory — spans
+    and heartbeats — without changing any outcome (see
     :class:`~repro.sim.parallel.ParallelRunner`).
 
     ``options`` are :class:`~repro.sim.options.RunOptions` fields but
@@ -91,7 +88,7 @@ def run_matrix(
                 options=cell_options,
             ))
     runner = ParallelRunner(
-        max_workers=max_workers, run_cache=run_cache, profiler=profiler,
+        max_workers=max_workers, run_cache=run_cache,
         telemetry_dir=telemetry_dir,
     )
     matrix = ResultMatrix()
@@ -114,7 +111,6 @@ def run_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
-    profiler: Optional[RunProfiler] = None,
     isolate: bool = True,
     max_workers: Optional[int] = None,
     run_cache=None,
@@ -134,9 +130,9 @@ def run_benchmarks(
         max_workers=max_workers,
     )
     return run_matrix(traces, schemes, scale=scale, seed=seed,
-                      profiler=profiler, isolate=isolate,
-                      max_workers=max_workers, run_cache=run_cache,
-                      telemetry_dir=telemetry_dir, **options)
+                      isolate=isolate, max_workers=max_workers,
+                      run_cache=run_cache, telemetry_dir=telemetry_dir,
+                      **options)
 
 
 def associativity_sweep(
@@ -145,7 +141,6 @@ def associativity_sweep(
     associativities: Sequence[int],
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
-    profiler: Optional[RunProfiler] = None,
     failures: Optional[List[RunFailure]] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
@@ -184,7 +179,7 @@ def associativity_sweep(
             ))
             spec_scheme.append(scheme_name)
     runner = ParallelRunner(
-        max_workers=max_workers, run_cache=run_cache, profiler=profiler,
+        max_workers=max_workers, run_cache=run_cache,
         telemetry_dir=telemetry_dir,
     )
     curves: Dict[str, List[RunResult]] = {name: [] for name in schemes}

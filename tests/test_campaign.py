@@ -686,18 +686,24 @@ class TestRunCacheCorruption:
         assert cache.get(key) is None
         assert cache.corrupt_entries == 1
 
-    def test_profiler_surfaces_corrupt_entries(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        spec = self._one_cell(tmp_path)
-        ParallelRunner(run_cache=cache).run([spec])
-        key = cell_cache_key(spec)
-        cache.path_for(key).write_text("{broken", encoding="utf-8")
-        profiler = RunProfiler()
+    def test_profiler_surfaces_corrupt_entries(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        profile_json = tmp_path / "profile.json"
+        argv = [
+            "bench", "--schemes", "lru", "--benchmarks", "mcf",
+            "--sets", "64", "--length", "4000",
+            "--run-cache", str(cache_dir),
+            "--profile", "--profile-json", str(profile_json),
+        ]
+        assert main(argv) == 0
+        [entry] = cache_dir.glob("*/*.json")
+        entry.write_text("{broken", encoding="utf-8")
+        capsys.readouterr()
         with pytest.warns(UserWarning, match="corrupt"):
-            ParallelRunner(run_cache=cache, profiler=profiler).run([spec])
-        assert profiler.run_cache_corrupt == 1
-        assert "1 corrupt entry quarantined" in profiler.render()
-        assert profiler.to_bench_json()["run_cache"]["corrupt"] == 1
+            assert main(argv) == 0
+        assert "1 corrupt entry quarantined" in capsys.readouterr().out
+        document = json.loads(profile_json.read_text())
+        assert document["run_cache"]["corrupt"] == 1
 
     def test_profiler_render_unchanged_without_corruption(self):
         profiler = RunProfiler()

@@ -9,8 +9,11 @@ interpreter, imports one entry point and reads ``sys.modules``:
   core.
 * :mod:`repro.sim.simulator` loads neither the pool, the campaign nor
   the reporting layers.
+* :mod:`repro.sim.parallel` loads no view of a grid's results: neither
+  the fleet status nor the profile.
 * ``python -m repro --version`` and ``repro index query`` load no
-  simulator.
+  simulator, and ``--version`` no ``sqlite3``.
+* ``repro campaign status`` loads the journal, not the campaign runner.
 
 A package ``__init__`` holds only its docstring, so each name has one
 import path: the module that defines it.
@@ -120,13 +123,31 @@ def test_the_simulator_loads_no_pool_campaign_or_report():
     assert _within(loaded, HEAVY_STDLIB) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("--version",),
-    ("index", "query", "--db", ":memory:"),
+def test_the_grid_runner_loads_no_view():
+    loaded = _loaded("import repro.sim.parallel")
+    assert _within(loaded, ["repro.obs.fleet", "repro.obs.profile"]) == []
+
+
+@pytest.mark.parametrize("argv, also_unloaded", [
+    (("--version",), ["sqlite3"]),
+    (("index", "query", "--db", ":memory:"), []),
 ], ids=["version", "index-query"])
-def test_cli_commands_load_no_simulator(argv):
+def test_cli_commands_load_no_simulator(argv, also_unloaded):
     loaded = _cli(*argv)
     assert _within(loaded, [
         "repro.sim", "repro.analysis", "repro.experiments",
-        "http.server", "multiprocessing",
+        "http.server", "multiprocessing", *also_unloaded,
+    ]) == []
+
+
+def test_campaign_status_loads_only_the_journal(tmp_path):
+    (tmp_path / "campaign.jsonl").write_text(json.dumps({
+        "kind": "campaign_start", "format": 1, "name": "c",
+        "spec_digest": "0" * 64, "total_cells": 1,
+    }) + "\n", encoding="utf-8")
+    loaded = _cli("campaign", "status", str(tmp_path))
+    assert "repro.sim.journal" in loaded
+    assert _within(loaded, [
+        "repro.sim.parallel", "repro.sim.config", "repro.sim.simulator",
+        "multiprocessing", "sqlite3",
     ]) == []

@@ -1,5 +1,6 @@
 """Tests for the parallel grid engine, batch fast path, and run cache."""
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import repro
 import repro.sim.config as sim_config
 from repro.cache.geometry import CacheGeometry
+from repro.cli import main as cli_main
 from repro.common.errors import ConfigError, SimulationError
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
@@ -27,7 +29,6 @@ from repro.sim.parallel import (
 )
 from repro.sim.runner import associativity_sweep, run_benchmarks, run_matrix
 from repro.sim.simulator import run_trace
-from repro.obs.profile import RunProfiler
 from repro.workloads.spec_like import make_benchmark_trace
 from tests.test_scheme_pins import SCHEMES as PINNED_SCHEMES
 
@@ -40,8 +41,13 @@ def small_trace(name="omnetpp", length=8_000, write_fraction=0.0):
     )
 
 
-def _poisoned_factory(geometry, seed=0xACE1, tracer=None, **kwargs):
-    raise SimulationError(f"poisoned cell (seed {seed})")
+class _Poisoned:
+    """A scheme class whose every build fails."""
+
+    name = "BOOM"
+
+    def __init__(self, geometry, rng=None, tracer=None, **kwargs):
+        raise SimulationError(f"poisoned cell (seed {rng.state})")
 
 
 def _matrix_fingerprint(matrix):
@@ -207,10 +213,7 @@ class TestBatchExactness:
 
 class TestParallelEquivalence:
     def test_poisoned_grid_identical_across_worker_counts(self, monkeypatch):
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
-        monkeypatch.setitem(sim_config._DISPLAY_NAMES, "boom", "BOOM")
+        monkeypatch.setitem(sim_config._SCHEMES, "boom", _Poisoned)
         traces = [small_trace("omnetpp", 4_000), small_trace("vpr", 4_000)]
         schemes = ["lru", "boom", "stem"]
         serial = run_matrix(traces, schemes, scale=SCALE, seed=5)
@@ -242,17 +245,23 @@ class TestParallelEquivalence:
             assert [r.mpki for r in parallel[scheme]] == \
                 [r.mpki for r in serial[scheme]]
 
-    def test_profiler_merges_in_canonical_order(self):
-        profiler = RunProfiler()
-        run_benchmarks(
-            ["lru", "stem"], benchmarks=["vpr", "omnetpp"], scale=SCALE,
-            profiler=profiler, max_workers=4,
+    def test_profiler_merges_in_canonical_order(self, capsys):
+        # The profile is built from the returned matrix, so its rows
+        # keep the grid's scheme order even though the LRU cells finish
+        # before the STEM cells.
+        code = cli_main([
+            "bench", "--schemes", "stem,lru", "--benchmarks", "vpr,omnetpp",
+            "--sets", "64", "--length", "20000", "--jobs", "4",
+            "--no-run-cache", "--profile",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(
+            index for index, line in enumerate(lines) if "acc/sec" in line
         )
-        observed = [(r.trace_name, r.scheme) for r in profiler.records]
-        assert observed == [
-            ("vpr", "LRU"), ("vpr", "STEM"),
-            ("omnetpp", "LRU"), ("omnetpp", "STEM"),
-        ]
+        rows = [line.split()[:2] for line in lines[header + 1:header + 3]]
+        assert rows == [["STEM", "2"], ["LRU", "2"]]
+        assert lines[header + 3].endswith("over 4 run(s)")
 
     def test_run_benchmarks_parallel_matches_serial(self):
         # max_workers fans out the trace synthesis as well as the cells.
@@ -324,10 +333,7 @@ class TestParallelEquivalence:
         cells carry no series."""
         import json
 
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
-        monkeypatch.setitem(sim_config._DISPLAY_NAMES, "boom", "BOOM")
+        monkeypatch.setitem(sim_config._SCHEMES, "boom", _Poisoned)
         traces = [small_trace("omnetpp", 4_000), small_trace("vpr", 4_000)]
         schemes = ["lru", "boom", "stem"]
 
@@ -392,19 +398,20 @@ class TestRunCache:
         assert (run_cache.hits, run_cache.misses) == (2, 2)
         assert _matrix_fingerprint(second) == _matrix_fingerprint(first)
 
-    def test_cache_feeds_profiler_counters(self, tmp_path):
-        run_cache = RunCache(tmp_path / "runs")
-        profiler = RunProfiler()
-        run_benchmarks(["lru"], benchmarks=["vpr"], scale=SCALE,
-                       run_cache=run_cache, profiler=profiler)
-        assert profiler.run_cache_misses == 1
-        run_benchmarks(["lru"], benchmarks=["vpr"], scale=SCALE,
-                       run_cache=run_cache, profiler=profiler)
-        assert profiler.run_cache_hits == 1
-        assert "run cache: 1 hit(s), 1 miss(es)" in profiler.render()
-        assert profiler.to_bench_json()["run_cache"] == {
-            "hits": 1, "misses": 1,
-        }
+    def test_cache_feeds_profiler_counters(self, tmp_path, capsys):
+        profile_json = tmp_path / "profile.json"
+        argv = [
+            "bench", "--schemes", "lru", "--benchmarks", "vpr",
+            "--sets", "64", "--length", "20000",
+            "--run-cache", str(tmp_path / "runs"),
+            "--profile", "--profile-json", str(profile_json),
+        ]
+        assert cli_main(argv) == 0
+        assert "run cache: 0 hit(s), 1 miss(es)" in capsys.readouterr().out
+        assert cli_main(argv) == 0
+        assert "run cache: 1 hit(s), 0 miss(es)" in capsys.readouterr().out
+        document = json.loads(profile_json.read_text())
+        assert document["run_cache"] == {"hits": 1, "misses": 0}
 
     def test_key_tracks_every_input(self):
         trace = small_trace("vpr", 3_000)
@@ -426,9 +433,7 @@ class TestRunCache:
         assert cell_cache_key(replace(base, index=99)) == key
 
     def test_poisoned_scheme_has_no_key(self, monkeypatch):
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
+        monkeypatch.setitem(sim_config._SCHEMES, "boom", _Poisoned)
         spec = CellSpec(
             index=0, scheme="boom", label="boom",
             trace=small_trace("vpr", 2_000),
@@ -448,10 +453,7 @@ class TestRunCache:
         assert run_cache.misses == 1
 
     def test_failures_are_never_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
-        monkeypatch.setitem(sim_config._DISPLAY_NAMES, "boom", "BOOM")
+        monkeypatch.setitem(sim_config._SCHEMES, "boom", _Poisoned)
         run_cache = RunCache(tmp_path / "runs")
         matrix = run_matrix(
             [small_trace("vpr", 2_000)], ["boom"], scale=SCALE,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.sim.config as sim_config
+from repro.cache.basecache import SetAssociativeCache
 from repro.common.errors import (
     ConfigError,
     InvariantViolation,
@@ -17,6 +18,7 @@ from repro.core.config import StemConfig
 from repro.obs.events import FaultInjected, SafeModeEntry, event_from_dict
 from repro.obs.sinks import JsonlSink, load_events, load_events_report
 from repro.obs.tracer import Tracer
+from repro.policies.lru import LruPolicy
 from repro.resilience.campaign import run_fault_campaign
 from repro.resilience.faults import (
     FAULT_TARGETS,
@@ -236,6 +238,15 @@ def _poisoned_factory(geometry, seed=0xACE1, tracer=None, **kwargs):
     raise SimulationError(f"poisoned cell (seed {seed})")
 
 
+class _Poisoned:
+    """A scheme class whose every build fails."""
+
+    name = "BOOM"
+
+    def __init__(self, geometry, rng=None, tracer=None, **kwargs):
+        _poisoned_factory(geometry, seed=rng.state)
+
+
 class TestGuardedRun:
     def test_retry_policy_seeds(self):
         policy = RetryPolicy(max_attempts=3, reseed_step=10)
@@ -308,10 +319,7 @@ class TestGuardedRun:
 
 class TestGridIsolation:
     def test_matrix_survives_poisoned_cell(self, monkeypatch):
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
-        monkeypatch.setitem(sim_config._DISPLAY_NAMES, "boom", "BOOM")
+        monkeypatch.setitem(sim_config._SCHEMES, "boom", _Poisoned)
         traces = [small_trace("omnetpp", 2_000), small_trace("mcf", 2_000)]
         matrix = run_matrix(traces, ["lru", "boom"], scale=SCALE, seed=5)
         # Healthy cells all completed...
@@ -326,9 +334,7 @@ class TestGridIsolation:
             matrix.get("omnetpp", "boom")
 
     def test_isolate_false_propagates(self, monkeypatch):
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
+        monkeypatch.setitem(sim_config._SCHEMES, "boom", _Poisoned)
         with pytest.raises(SimulationError, match="poisoned"):
             run_matrix(
                 [small_trace(length=2_000)], ["boom"],
@@ -348,17 +354,15 @@ class TestGridIsolation:
             )
 
     def test_sweep_skips_failed_runs(self, monkeypatch):
-        calls = {"n": 0}
+        class Sometimes(SetAssociativeCache):
+            name = "Flaky"
 
-        def sometimes(geometry, seed=0xACE1, tracer=None, **kwargs):
-            calls["n"] += 1
-            if geometry.associativity == 8:
-                raise SimulationError("bad geometry")
-            return sim_config._SCHEME_FACTORIES["lru"](geometry, seed=seed)
+            def __init__(self, geometry, rng=None, tracer=None):
+                if geometry.associativity == 8:
+                    raise SimulationError("bad geometry")
+                super().__init__(geometry, LruPolicy(), rng=rng)
 
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "flaky", sometimes
-        )
+        monkeypatch.setitem(sim_config._SCHEMES, "flaky", Sometimes)
         failures = []
         curves = associativity_sweep(
             small_trace(length=2_000), ["flaky"], [4, 8, 16],

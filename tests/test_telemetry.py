@@ -367,10 +367,14 @@ class TestEquivalence:
         assert status.finished
         assert all(cell.progress == 1.0 for cell in status.cells)
 
-    def test_runner_writes_status_json(self, tmp_path):
+    def test_status_json_is_written_by_top(self, tmp_path, capsys):
         run_matrix(
             self._traces(), ["lru"], scale=SCALE, telemetry_dir=tmp_path
         )
+        # The runner writes the channel only; status.json is a view
+        # that its readers build.
+        assert not (tmp_path / "status.json").exists()
+        assert main(["top", str(tmp_path), "--once"]) == 0
         payload = json.loads((tmp_path / "status.json").read_text())
         assert payload["finished"] is True
         assert payload["counts"]["done"] == 2
@@ -620,9 +624,6 @@ class TestTopCli:
             [small_trace("omnetpp", 6_000)], ["lru"], scale=SCALE,
             telemetry_dir=tmp_path,
         )
-        # The grid runner writes its own final status.json; remove it
-        # to prove --json is the no-file-round-trip surface.
-        (tmp_path / "status.json").unlink()
         assert main(["top", str(tmp_path), "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["finished"] is True
