@@ -54,8 +54,10 @@ def normalized(
     schemes: Sequence[str] = PAPER_SCHEMES,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """``metric`` normalized to LRU: workload rows, scheme columns and
-    the geomean row, over the evaluation grid."""
+    """The evaluation grid's ``metric``, normalized to LRU.
+
+    Workload rows, scheme columns, and a ``Geomean`` row.
+    """
     matrix = run_evaluation(scale=scale, schemes=schemes,
                             benchmarks=benchmarks)
     return matrix.normalized_table(metric)
