@@ -27,8 +27,11 @@ mutations that STEM's safe mode heals after; two more glitch only the
 giver heap; one more floods STEM's SCDM (SC_S, SC_T and shadow sets)
 with faults and pins the traced event stream as well as the report,
 recorded before the SCDM's monitor classes were folded into STEM's
-per-set state.  The package version is fixed so a release does not
-move the manifest hashes.
+per-set state.  Thirty small STEM campaigns heavy in association
+glitches pin safe mode's heals, their reports and their event streams,
+recorded before the association table was folded into the coupling
+engine.  The package version is fixed so a release does not move the
+manifest hashes.
 """
 
 import hashlib
@@ -458,6 +461,27 @@ SCDM_FAULT_DIGESTS = (
     "061ffc71579af63b44bbfccf3de128cb1aa6be78d69b3d23017743bac7251142",
 )
 
+#: Thirty small STEM campaigns that heal again and again: three plans
+#: heavy in association glitches, on mcf and omnetpp at seeds 1-5, so
+#: safe mode's choice of suspects and its repair run hundreds of times.
+HEAL_PLANS = (
+    "association:5,heap:5",
+    "sc_s:10,sc_t:10,shadow:20,association:3,heap:5",
+    "association:20",
+)
+HEAL_BENCHMARKS = ("mcf", "omnetpp")
+HEAL_SEEDS = range(1, 6)
+HEAL_SCALE = ExperimentScale(num_sets=16, associativity=4,
+                             trace_length=5_000)
+
+#: Safe-mode entries over the thirty campaigns, and one sha256 over each
+#: campaign's ``render()`` followed by its JSONL event stream and
+#: ``Tracer.events_emitted``.
+HEAL_DIGEST = (
+    206,
+    "e0811be4d0f94637a87e6e8d385c0cadde55f4e95a4ef3b108b4e5fcdb2f702b",
+)
+
 
 @pytest.fixture(autouse=True)
 def fixed_version(monkeypatch):
@@ -597,3 +621,25 @@ def test_scdm_fault_campaign_bytes():
     events += f"{tracer.events_emitted}\n"
     assert (_sha256(report.as_dict()), _sha256(events.encode("utf-8"))) \
         == SCDM_FAULT_DIGESTS
+
+
+def test_heal_campaign_bytes():
+    entries = 0
+    digest = hashlib.sha256()
+    for plan in HEAL_PLANS:
+        for benchmark in HEAL_BENCHMARKS:
+            for seed in HEAL_SEEDS:
+                sink = RingBufferSink()
+                tracer = Tracer(sink)
+                report = run_fault_campaign(
+                    "stem", benchmark, plan=plan, seed=seed,
+                    scale=HEAL_SCALE, tracer=tracer,
+                )
+                entries += report.safe_mode_entries
+                digest.update(report.render().encode("utf-8") + b"\n")
+                for event in sink.events:
+                    digest.update(
+                        json.dumps(event.as_dict()).encode("utf-8") + b"\n"
+                    )
+                digest.update(f"{tracer.events_emitted}\n".encode("utf-8"))
+    assert (entries, digest.hexdigest()) == HEAL_DIGEST
