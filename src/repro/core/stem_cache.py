@@ -41,7 +41,6 @@ from repro.common.hashing import H3Hash
 from repro.common.rng import Lfsr
 from repro.core.config import StemConfig
 from repro.obs.events import (
-    Decoupling,
     Eviction,
     PolicySwap,
     SafeModeEntry,
@@ -49,7 +48,7 @@ from repro.obs.events import (
     SpillReject,
 )
 from repro.obs.tracer import Tracer
-from repro.spatial.cooperative import GIVER, TAKER, UNCOUPLED, CoupledSets
+from repro.spatial.cooperative import TAKER, UNCOUPLED, CoupledSets
 
 _MODE_LRU = 0
 _MODE_BIP = 1
@@ -257,7 +256,7 @@ class StemCache(CoupledSets):
                     roles[set_index] == TAKER
                     and sc_s[set_index] >= config.giver_bit
                 ):
-                    giver = self.association.partner_of(set_index)
+                    giver = self._partner_of(set_index)
                     if self._receiving_allowed(giver):
                         self._spill(set_index, giver, victim_tag, dirty)
                         spilled = True
@@ -553,93 +552,27 @@ class StemCache(CoupledSets):
     def _heal(self, reason: str) -> None:
         """Repair every structurally inconsistent set.
 
-        The association relation is repaired first (out-of-range or
-        asymmetric entries reset to identity), then each set is
-        validated; every suspect — and its partner, which holds or owns
-        the pair's cooperative blocks — is put into safe mode.
+        The association table is repaired first (out-of-range or
+        asymmetric entries reset to identity); then every set that
+        fails the invariant sweep's own per-set checks is a suspect.
+        Each suspect — and its partner, which holds or owns the pair's
+        cooperative blocks — is put into safe mode.
         """
-        suspects = set(self.association.repair())
-        num_sets = self.geometry.num_sets
-        for set_index in range(num_sets):
-            if not self._set_consistent(set_index):
+        suspects = set(self._repair_association())
+        for set_index in range(self.geometry.num_sets):
+            try:
+                self._check_set(set_index)
+            except _RECOVERABLE:
                 suspects.add(set_index)
+        association = self.association
         for set_index in list(suspects):
-            partner = self.association.raw_entry(set_index)
-            if (
-                isinstance(partner, int)
-                and 0 <= partner < num_sets
-                and partner != set_index
-            ):
-                suspects.add(partner)
+            suspects.add(association[set_index])
         for set_index in sorted(suspects):
             self._enter_safe_mode(set_index, reason)
 
-    def _set_consistent(self, set_index: int) -> bool:
-        """Light structural validation of one set (never raises)."""
-        assoc = self.geometry.associativity
-        table = self._lookup[set_index]
-        if len(table) + len(self._free[set_index]) != assoc:
-            return False
-        for key, way in table.items():
-            if not isinstance(way, int) or not 0 <= way < assoc:
-                return False
-            if self._way_key[set_index][way] != key:
-                return False
-        if sorted(self._order[set_index]) != sorted(table.values()):
-            return False
-        cc_blocks = sum(1 for key in table if key & 1)
-        role = self._role[set_index]
-        coupled = self.association.is_coupled(set_index)
-        if role == GIVER:
-            return (
-                coupled
-                and cc_blocks == self._cc_count[set_index]
-                and cc_blocks > 0
-            )
-        if cc_blocks or self._cc_count[set_index]:
-            return False
-        if role == TAKER:
-            partner = self.association.partner_of(set_index)
-            return partner is not None and self._role[partner] == GIVER
-        return not coupled
-
     def _enter_safe_mode(self, set_index: int, reason: str) -> None:
         """Dissolve any pairing, rebuild the set, pin it to plain LRU."""
-        partner = self.association.raw_entry(set_index)
-        if partner != set_index:
-            self.association.force_entry(set_index, set_index)
-            if (
-                isinstance(partner, int)
-                and 0 <= partner < self.geometry.num_sets
-                and self.association.raw_entry(partner) == set_index
-            ):
-                self.association.force_entry(partner, partner)
-                # The dissolution is an event-stream fact the ledger
-                # must see, but not a normal decoupling: the stats
-                # counter stays untouched (only `_decouple` mirrors
-                # it), and only the first of the pair's two
-                # _enter_safe_mode calls emits (the second finds the
-                # association already dissolved above).
-                tracer = self.tracer
-                if tracer.enabled:
-                    role = self._role[set_index]
-                    if role == TAKER:
-                        pair = (set_index, partner)
-                    elif role == GIVER:
-                        pair = (partner, set_index)
-                    else:
-                        pair = None  # glitched pairing with no roles
-                    if pair is not None:
-                        tracer.emit(Decoupling(
-                            access=self.stats.accesses,
-                            set_index=pair[0],
-                            global_access=(
-                                self._access_base + self.stats.accesses
-                            ),
-                            giver=pair[1],
-                            reason="safe_mode",
-                        ))
-        self._role[set_index] = UNCOUPLED
+        self._dissolve(set_index)
         self._rebuild_set(set_index)
         # The set's capacity-demand history is untrustworthy: both
         # counters restart at zero and the shadow set is emptied.
@@ -659,51 +592,6 @@ class StemCache(CoupledSets):
                 global_access=self._access_base + self.stats.accesses,
                 reason=reason,
             ))
-
-    def _rebuild_set(self, set_index: int) -> None:
-        """Reconstruct a set's derived state from its lookup table.
-
-        The lookup table is the root of truth: cooperative entries are
-        dropped (the pairing is gone, so they are orphans), invalid or
-        duplicate way mappings are discarded, and the recency order is
-        preserved where it is still meaningful.
-        """
-        assoc = self.geometry.associativity
-        table = self._lookup[set_index]
-        old_dirty = self._dirty[set_index]
-        keep: Dict[int, int] = {}  # way -> key
-        for key in sorted(table):
-            way = table[key]
-            if not isinstance(way, int) or not 0 <= way < assoc:
-                continue
-            if key & 1:
-                # Orphaned cooperative block leaving the chip.
-                self.stats.evictions += 1
-                if old_dirty[way]:
-                    self.stats.writebacks += 1
-                continue
-            if way in keep:
-                continue
-            keep[way] = key
-        table.clear()
-        way_key: List[Optional[int]] = [None] * assoc
-        dirty = [False] * assoc
-        for way, key in keep.items():
-            table[key] = way
-            way_key[way] = key
-            dirty[way] = bool(old_dirty[way])
-        self._way_key[set_index] = way_key
-        self._dirty[set_index] = dirty
-        self._free[set_index] = [
-            way for way in range(assoc - 1, -1, -1) if way not in keep
-        ]
-        order = [
-            way for way in dict.fromkeys(self._order[set_index])
-            if way in keep
-        ]
-        order.extend(way for way in sorted(keep) if way not in order)
-        self._order[set_index] = order
-        self._cc_count[set_index] = 0
 
     def safe_mode_sets(self) -> List[int]:
         """Indices of sets currently degraded to plain LRU."""

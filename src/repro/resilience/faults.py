@@ -287,9 +287,10 @@ class FaultInjector:
             if table is None:
                 self._skip(cache, target, index)
                 return
-            entry = rng.randint(0, table.num_sets - 1)
-            value = rng.randint(0, table.num_sets - 1)
-            table.force_entry(entry, value)
+            # A glitch in the table RAM: one entry takes any set index.
+            entry = rng.randint(0, len(table) - 1)
+            value = rng.randint(0, len(table) - 1)
+            table[entry] = value
             self._record(
                 cache, "association", set_index=entry,
                 detail=f"entry={entry} value={value}", index=index,

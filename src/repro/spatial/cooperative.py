@@ -4,22 +4,24 @@ All three cache a set's victims in a coupled partner set and probe that
 set again on a miss.  :class:`CooperativeSets` holds what they share:
 the per-set block state, keyed by ``(tag << 1) | cc_bit`` where the cc
 bit marks a block cooperatively cached for the partner; the recency
-order, LRU first; the per-set count of cooperative blocks; and the
-operations that install, promote, remove and spill blocks.
+order, LRU first; the per-set count of cooperative blocks; the
+operations that install, promote, remove and spill blocks; and the
+store's own check and repair of one set.
 
 SBC and STEM also pair sets at run time, and :class:`CoupledSets` holds
-that half (the paper's §4.5–4.7): the association table, the heap of
-candidate givers and one role per set; coupling a taker with the least
-saturated valid giver, the probe a taker's miss makes into its giver,
-the drop of a cooperative block off chip and the decoupling once the
-giver drains; the ledger hit counters; and the coupling, occupancy and
-recency invariants.  SBC calls a taker a source and a giver a
-destination.  Each scheme says which sets may give (:meth:`_gives`) and
-keeps its own access path, batch loop and miss half, which inline the
-demand eviction and call into the engine.  A block leaving the chip
-goes through :meth:`_off_chip`, where STEM files its signature.  The
-hot loops bind the per-set lists below to locals, so their names are
-part of the contract.
+that half (the paper's §4.5–4.7): the association table as a per-set
+list, the heap of candidate givers and one role per set; coupling a
+taker with the least saturated valid giver, the probe a taker's miss
+makes into its giver, the drop of a cooperative block off chip and the
+decoupling once the giver drains; the ledger hit counters; the
+association, coupling, occupancy and recency invariants; and the
+repairs STEM's safe mode makes with them.  SBC calls a taker a source
+and a giver a destination.  Each scheme says which sets may give
+(:meth:`_gives`) and keeps its own access path, batch loop and miss
+half, which inline the demand eviction and call into the engine.  A
+block leaving the chip goes through :meth:`_off_chip`, where STEM files
+its signature.  The hot loops bind the per-set lists below to locals,
+so their names are part of the contract.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from typing import Dict, List, Optional
 
 from repro.cache.block import BlockView
 from repro.cache.geometry import CacheGeometry
-from repro.common.errors import InvariantViolation
+from repro.common.errors import InvariantViolation, SimulationError
 from repro.common.rng import Lfsr
 from repro.common.stats import CacheStats
 from repro.obs.events import CoopHit, Coupling, Decoupling, Eviction, Spill
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.spatial.association import AssociationTable
 from repro.spatial.heap import GiverHeap
 
 #: Per-set coupling roles (:attr:`CoupledSets._role`).
@@ -154,6 +155,86 @@ class CooperativeSets:
         """A block of ``owner`` left the chip (STEM files its signature)."""
 
     # ------------------------------------------------------------------
+    # Check and repair
+    # ------------------------------------------------------------------
+
+    def _check_store(self, set_index: int) -> None:
+        """Occupancy, recency and way keys of one set.
+
+        Each way is validated before it indexes a row, so a corrupt set
+        raises :class:`InvariantViolation` and nothing else.
+        """
+        assoc = self.geometry.associativity
+        table = self._lookup[set_index]
+        occupancy = len(table) + len(self._free[set_index])
+        if occupancy != assoc:
+            raise InvariantViolation(
+                f"set {set_index}: occupancy {occupancy} != "
+                f"associativity {assoc}"
+            )
+        if sorted(self._order[set_index]) != sorted(table.values()):
+            raise InvariantViolation(
+                f"set {set_index}: recency order disagrees with the "
+                "lookup table"
+            )
+        way_keys = self._way_key[set_index]
+        for key, way in table.items():
+            if not isinstance(way, int) or not 0 <= way < assoc:
+                raise InvariantViolation(
+                    f"set {set_index}: block {key} in bad way {way!r}"
+                )
+            if way_keys[way] != key:
+                raise InvariantViolation(
+                    f"set {set_index}: way {way} holds key "
+                    f"{way_keys[way]!r}, not {key}"
+                )
+
+    def _rebuild_set(self, set_index: int) -> None:
+        """Reconstruct a set's derived state from its lookup table.
+
+        The lookup table is the root of truth: cooperative entries are
+        dropped (the pairing is gone, so they are orphans), invalid or
+        duplicate way mappings are discarded, and the recency order is
+        preserved where it is still meaningful.
+        """
+        assoc = self.geometry.associativity
+        table = self._lookup[set_index]
+        old_dirty = self._dirty[set_index]
+        keep: Dict[int, int] = {}  # way -> key
+        for key in sorted(table):
+            way = table[key]
+            if not isinstance(way, int) or not 0 <= way < assoc:
+                continue
+            if key & 1:
+                # Orphaned cooperative block leaving the chip.
+                self.stats.evictions += 1
+                if old_dirty[way]:
+                    self.stats.writebacks += 1
+                continue
+            if way in keep:
+                continue
+            keep[way] = key
+        table.clear()
+        way_key: List[Optional[int]] = [None] * assoc
+        dirty = [False] * assoc
+        for way, key in keep.items():
+            table[key] = way
+            way_key[way] = key
+            dirty[way] = bool(old_dirty[way])
+        self._way_key[set_index] = way_key
+        self._dirty[set_index] = dirty
+        self._free[set_index] = [
+            way for way in range(assoc - 1, -1, -1) if way not in keep
+        ]
+        order = [
+            way for way in dict.fromkeys(self._order[set_index])
+            if way in keep
+        ]
+        order.extend(way for way in sorted(keep) if way not in order)
+        self._order[set_index] = order
+        self._cc_count[set_index] = 0
+
+    # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
 
@@ -202,7 +283,11 @@ class CoupledSets(CooperativeSets):
     ) -> None:
         super().__init__(geometry, rng, tracer)
         num_sets = geometry.num_sets
-        self.association = AssociationTable(num_sets)
+        # The association table (Table 3): each set's partner, or the
+        # set's own index while it is uncoupled.  Named after its fault
+        # target; only this class and the fault injector write it, and
+        # every partner read goes through _partner_of().
+        self.association: List[int] = list(range(num_sets))
         self.heap = GiverHeap(heap_capacity)
         self._role: List[int] = [UNCOUPLED] * num_sets
         # Ledger attribution counters, kept only under the tracer guard
@@ -243,7 +328,13 @@ class CoupledSets(CooperativeSets):
         giver = self.heap.pop_best(_valid)
         if giver is None:
             return None
-        self.association.couple(taker, giver)
+        table = self.association
+        if table[taker] != taker or table[giver] != giver:
+            raise SimulationError(
+                f"couple({taker}, {giver}): a participant is already coupled"
+            )
+        table[taker] = giver
+        table[giver] = taker
         roles[taker] = TAKER
         roles[giver] = GIVER
         self.heap.remove(taker)
@@ -260,7 +351,14 @@ class CoupledSets(CooperativeSets):
         return giver
 
     def _decouple(self, taker: int, giver: int) -> None:
-        self.association.decouple(taker, giver)
+        """Dissolve the pair once the giver drains (§4.7)."""
+        table = self.association
+        if table[taker] != giver or table[giver] != taker:
+            raise SimulationError(
+                f"decouple({taker}, {giver}): sets are not coupled together"
+            )
+        table[taker] = taker
+        table[giver] = giver
         roles = self._role
         roles[taker] = UNCOUPLED
         roles[giver] = UNCOUPLED
@@ -282,9 +380,14 @@ class CoupledSets(CooperativeSets):
                 reason=reason,
             ))
 
+    def _partner_of(self, set_index: int) -> Optional[int]:
+        """The set's partner, or None while its entry names itself."""
+        partner = self.association[set_index]
+        return None if partner == set_index else partner
+
     def _probe_partner(self, taker: int, tag: int, is_write: bool) -> bool:
         """A taker's miss probes its giver; True on a cooperative hit."""
-        giver = self.association.partner_of(taker)
+        giver = self._partner_of(taker)
         way = self._lookup[giver].get((tag << 1) | 1)
         if way is None:
             return False
@@ -312,7 +415,7 @@ class CoupledSets(CooperativeSets):
 
     def _drop_cooperative(self, giver: int, tag: int, dirty: bool) -> None:
         """The giver evicted one of its taker's blocks off chip."""
-        taker = self.association.partner_of(giver)
+        taker = self._partner_of(giver)
         if dirty:
             self.stats.writebacks += 1
         self._off_chip(taker, tag)
@@ -320,6 +423,61 @@ class CoupledSets(CooperativeSets):
         cc_count[giver] -= 1
         if cc_count[giver] == 0:
             self._decouple(taker, giver)
+
+    def _dissolve(self, set_index: int) -> None:
+        """Safe mode's repair: reset the set's pairing to uncoupled.
+
+        The partner's entry is reset too when it points back.  The
+        dissolution is an event-stream fact the ledger must see, but not
+        a normal decoupling: ``stats.decouplings`` stays untouched, and
+        only the first of the pair's two calls emits (the second finds
+        the pair already dissolved).  The partner's role is its own
+        call's to reset.
+        """
+        table = self.association
+        partner = table[set_index]
+        if partner != set_index:
+            table[set_index] = set_index
+            if table[partner] == set_index:
+                table[partner] = partner
+                tracer = self.tracer
+                role = self._role[set_index]
+                if tracer.enabled and role != UNCOUPLED:
+                    # A glitched pairing with no roles emits nothing.
+                    pair = (
+                        (set_index, partner) if role == TAKER
+                        else (partner, set_index)
+                    )
+                    tracer.emit(Decoupling(
+                        access=self.stats.accesses,
+                        set_index=pair[0],
+                        global_access=(
+                            self._access_base + self.stats.accesses
+                        ),
+                        giver=pair[1],
+                        reason="safe_mode",
+                    ))
+        self._role[set_index] = UNCOUPLED
+
+    def _repair_association(self) -> List[int]:
+        """Reset every out-of-range or asymmetric entry to identity.
+
+        A range pass, then a symmetry pass.  Returns the indices whose
+        entries were repaired, so STEM's safe mode knows which sets
+        lost their pairing state.
+        """
+        table = self.association
+        num_sets = len(table)
+        repaired: List[int] = []
+        for index, partner in enumerate(table):
+            if not isinstance(partner, int) or not 0 <= partner < num_sets:
+                table[index] = index
+                repaired.append(index)
+        for index, partner in enumerate(table):
+            if partner != index and table[partner] != index:
+                table[index] = index
+                repaired.append(index)
+        return repaired
 
     # ------------------------------------------------------------------
     # Inspection
@@ -357,24 +515,39 @@ class CoupledSets(CooperativeSets):
         Raises :class:`InvariantViolation` on the first inconsistency —
         never ``assert`` — so the checks work under ``python -O`` and
         STEM's safe mode can catch and repair instead of crashing.
+        The association table comes first: a symmetric pairing of sets
+        within the table.
         """
-        self.association.check_invariants()
+        table = self.association
+        num_sets = len(table)
+        for index, partner in enumerate(table):
+            if not isinstance(partner, int) or not 0 <= partner < num_sets:
+                raise InvariantViolation(
+                    f"association entry {index} points outside the table: "
+                    f"{partner!r}"
+                )
+            if partner != index and table[partner] != index:
+                raise InvariantViolation(
+                    f"asymmetric pairing: {index} -> {partner} -> "
+                    f"{table[partner]}"
+                )
         for set_index in range(self.geometry.num_sets):
             self._check_set(set_index)
 
     def _check_set(self, set_index: int) -> None:
-        """Coupling, occupancy and recency of one set."""
+        """Coupling, then the store, of one set."""
         table = self._lookup[set_index]
         cc_blocks = sum(1 for key in table if key & 1)
         role = self._role[set_index]
         cc_count = self._cc_count[set_index]
+        partner = self._partner_of(set_index)
         if role == GIVER:
             if cc_blocks != cc_count:
                 raise InvariantViolation(
                     f"set {set_index}: cc bookkeeping mismatch "
                     f"({cc_blocks} blocks vs count {cc_count})"
                 )
-            if not self.association.is_coupled(set_index):
+            if partner is None:
                 raise InvariantViolation(
                     f"set {set_index}: giver role without a pairing"
                 )
@@ -387,7 +560,6 @@ class CoupledSets(CooperativeSets):
                 f"set {set_index}: cooperative blocks in a non-giver"
             )
         if role == TAKER:
-            partner = self.association.partner_of(set_index)
             if partner is None:
                 raise InvariantViolation(
                     f"set {set_index}: taker role without a pairing"
@@ -396,15 +568,12 @@ class CoupledSets(CooperativeSets):
                 raise InvariantViolation(
                     f"set {set_index}: partner {partner} is not a giver"
                 )
-        assoc = self.geometry.associativity
-        occupancy = len(table) + len(self._free[set_index])
-        if occupancy != assoc:
+        self._check_store(set_index)
+        if role != GIVER and cc_count:
             raise InvariantViolation(
-                f"set {set_index}: occupancy {occupancy} != "
-                f"associativity {assoc}"
+                f"set {set_index}: cc count {cc_count} in a non-giver"
             )
-        if sorted(self._order[set_index]) != sorted(table.values()):
+        if role == UNCOUPLED and partner is not None:
             raise InvariantViolation(
-                f"set {set_index}: recency order disagrees with the "
-                "lookup table"
+                f"set {set_index}: uncoupled but paired with {partner}"
             )

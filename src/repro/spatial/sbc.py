@@ -224,7 +224,7 @@ class SbcCache(CoupledSets):
                 and self._try_couple(set_index) is not None
             ):
                 self._spill(
-                    set_index, self.association.partner_of(set_index),
+                    set_index, self._partner_of(set_index),
                     key >> 1, dirty,
                 )
             elif dirty:

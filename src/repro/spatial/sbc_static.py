@@ -142,18 +142,9 @@ class StaticSbcCache(CooperativeSets):
     def check_invariants(self) -> None:
         """Raise :class:`InvariantViolation` on structural inconsistency."""
         for set_index in range(self.geometry.num_sets):
-            table = self._lookup[set_index]
-            cc_blocks = sum(1 for key in table if key & 1)
+            cc_blocks = sum(1 for key in self._lookup[set_index] if key & 1)
             if cc_blocks != self._cc_count[set_index]:
                 raise InvariantViolation(
                     f"set {set_index}: cc bookkeeping mismatch"
                 )
-            occupancy = len(table) + len(self._free[set_index])
-            if occupancy != self.geometry.associativity:
-                raise InvariantViolation(
-                    f"set {set_index}: valid+free != associativity"
-                )
-            if sorted(self._order[set_index]) != sorted(table.values()):
-                raise InvariantViolation(
-                    f"set {set_index}: recency order out of sync with table"
-                )
+            self._check_store(set_index)

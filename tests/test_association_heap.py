@@ -1,59 +1,13 @@
-"""Tests for the association table and the candidate-giver heap."""
+"""Tests for the candidate-giver heap.
+
+The association table is a per-set list in the coupling engine; its
+cases are in ``tests/test_coupling_engine.py``.
+"""
 
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.spatial.association import AssociationTable
+from repro.common.errors import ConfigError
 from repro.spatial.heap import GiverHeap
-
-
-class TestAssociationTable:
-    def test_initially_everyone_uncoupled(self):
-        table = AssociationTable(8)
-        for index in range(8):
-            assert not table.is_coupled(index)
-            assert table.partner_of(index) is None
-
-    def test_couple_decouple_cycle(self):
-        table = AssociationTable(8)
-        table.couple(1, 5)
-        assert table.partner_of(1) == 5
-        assert table.partner_of(5) == 1
-        assert table.couplings == 1
-        table.decouple(1, 5)
-        assert not table.is_coupled(1)
-        assert not table.is_coupled(5)
-        assert table.decouplings == 1
-
-    def test_self_coupling_rejected(self):
-        table = AssociationTable(4)
-        with pytest.raises(SimulationError):
-            table.couple(2, 2)
-
-    def test_double_coupling_rejected(self):
-        table = AssociationTable(4)
-        table.couple(0, 1)
-        with pytest.raises(SimulationError):
-            table.couple(1, 2)
-
-    def test_decouple_of_uncoupled_rejected(self):
-        table = AssociationTable(4)
-        with pytest.raises(SimulationError):
-            table.decouple(0, 1)
-
-    def test_invariants_hold(self):
-        table = AssociationTable(16)
-        table.couple(0, 3)
-        table.couple(7, 9)
-        table.check_invariants()
-
-    def test_storage_bits_table3(self):
-        # Table 3: 2048 entries x 11 bits.
-        assert AssociationTable(2048).storage_bits() == 2048 * 11
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ConfigError):
-            AssociationTable(0)
 
 
 class TestGiverHeap:

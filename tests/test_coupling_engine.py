@@ -1,9 +1,11 @@
 """The run-time coupling SBC and STEM share, driven through both schemes.
 
 SBC calls its sets source and destination, STEM taker and giver; the
-cases below use STEM's words for both.  Each validator case leaves one
-stale candidate in the giver heap, less saturated than a valid giver,
-and checks that coupling drops it and takes the valid one.  Each
+cases below use STEM's words for both.  The association table cases
+check the per-set list the engine pairs sets in, and the errors and
+invariant messages a glitched entry raises.  Each validator case leaves
+one stale candidate in the giver heap, less saturated than a valid
+giver, and checks that coupling drops it and takes the valid one.  Each
 decouple case drains a giver's only cooperative block and checks the
 reason the ``Decoupling`` event gives.
 """
@@ -11,11 +13,13 @@ reason the ``Decoupling`` event gives.
 import pytest
 
 from repro.cache.geometry import CacheGeometry
+from repro.common.errors import InvariantViolation, SimulationError
 from repro.core.stem_cache import StemCache
 from repro.obs.events import Coupling, Decoupling
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.spatial.sbc import SbcCache
+from repro.spatial.sbc_static import StaticSbcCache
 
 TAKER, GIVER, OTHER = 0, 1, 2
 GEOMETRY = CacheGeometry(num_sets=4, associativity=4)
@@ -52,6 +56,116 @@ def address(cache, set_index, tag):
     return cache.mapper.compose(tag, set_index)
 
 
+class TestAssociationTable:
+    @SCHEMES
+    def test_fresh_entries_are_identity(self, scheme, stop_giving, names):
+        cache = scheme(GEOMETRY)
+        assert cache.association == list(range(GEOMETRY.num_sets))
+        for set_index in range(GEOMETRY.num_sets):
+            assert cache._partner_of(set_index) is None
+
+    @SCHEMES
+    def test_couple_then_decouple(self, scheme, stop_giving, names):
+        cache = scheme(GEOMETRY)
+        cache.heap.offer(GIVER, 0)
+        assert cache._try_couple(TAKER) == GIVER
+        assert cache.association[:2] == [GIVER, TAKER]
+        assert cache._partner_of(GIVER) == TAKER
+        assert cache.stats.couplings == 1
+        cache._decouple(TAKER, GIVER)
+        assert cache.association == list(range(GEOMETRY.num_sets))
+        assert cache.stats.decouplings == 1
+
+    @SCHEMES
+    def test_glitched_participant_cannot_couple(
+        self, scheme, stop_giving, names
+    ):
+        cache = scheme(GEOMETRY)
+        cache.association[GIVER] = OTHER  # a one-sided entry, no role
+        cache.heap.offer(GIVER, 0)
+        with pytest.raises(
+            SimulationError,
+            match=r"^couple\(0, 1\): a participant is already coupled$",
+        ):
+            cache._try_couple(TAKER)
+
+    @SCHEMES
+    def test_decouple_of_uncoupled_pair_rejected(
+        self, scheme, stop_giving, names
+    ):
+        cache = scheme(GEOMETRY)
+        with pytest.raises(
+            SimulationError,
+            match=r"^decouple\(0, 1\): sets are not coupled together$",
+        ):
+            cache._decouple(TAKER, GIVER)
+
+    @SCHEMES
+    def test_check_invariants_reads_the_table(
+        self, scheme, stop_giving, names
+    ):
+        cache = scheme(GEOMETRY)
+        cache.heap.offer(GIVER, 0)
+        cache._try_couple(TAKER)
+        cache._spill(TAKER, GIVER, 99, False)
+        cache.check_invariants()
+        cache.association[OTHER] = GEOMETRY.num_sets
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^association entry 2 points outside the table: 4$",
+        ):
+            cache.check_invariants()
+        cache.association[OTHER] = GIVER
+        with pytest.raises(
+            InvariantViolation, match=r"^asymmetric pairing: 2 -> 1 -> 0$"
+        ):
+            cache.check_invariants()
+
+
+class TestSetChecks:
+    """Per-set rules the invariant sweep and STEM's heal share."""
+
+    @SCHEMES
+    def test_cc_count_in_a_non_giver(self, scheme, stop_giving, names):
+        cache = scheme(GEOMETRY)
+        cache._cc_count[OTHER] = 1
+        with pytest.raises(
+            InvariantViolation, match=r"^set 2: cc count 1 in a non-giver$"
+        ):
+            cache.check_invariants()
+
+    @SCHEMES
+    def test_uncoupled_set_with_a_partner(self, scheme, stop_giving, names):
+        cache = scheme(GEOMETRY)
+        cache.association[:2] = [GIVER, TAKER]  # symmetric, but no roles
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^set 0: uncoupled but paired with 1$",
+        ):
+            cache.check_invariants()
+
+    @pytest.mark.parametrize("scheme", [SbcCache, StemCache, StaticSbcCache])
+    def test_way_holding_another_key(self, scheme):
+        cache = scheme(GEOMETRY)
+        cache.access(address(cache, OTHER, 5))
+        way = cache._lookup[OTHER][5 << 1]
+        cache._way_key[OTHER][way] = 6 << 1
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"^set 2: way {way} holds key 12, not 10$",
+        ):
+            cache.check_invariants()
+
+    def test_stem_heals_the_sets_the_checks_name(self):
+        cache = StemCache(GEOMETRY)
+        cache._cc_count[OTHER] = 1
+        cache.association[:2] = [GIVER, TAKER]
+        cache._heal("test")
+        assert cache.safe_mode_sets() == [TAKER, GIVER, OTHER]
+        assert cache.association == list(range(GEOMETRY.num_sets))
+        cache.check_invariants()
+
+
 class TestValidatorDrops:
     def assert_dropped(self, cache, ring, stale, names):
         couplings = cache.stats.couplings
@@ -60,7 +174,7 @@ class TestValidatorDrops:
         assert cache._try_couple(TAKER) == GIVER
         assert len(cache.heap) == 0
         assert (cache.role_of(TAKER), cache.role_of(GIVER)) == names[1:]
-        assert cache.association.partner_of(TAKER) == GIVER
+        assert cache._partner_of(TAKER) == GIVER
         assert cache.stats.couplings == couplings + 1
         assert [
             (event.set_index, event.giver)
@@ -87,7 +201,7 @@ class TestValidatorDrops:
         cache._spill(OTHER, 3, 98, False)
         cache.heap.force_entry(OTHER, 0)
         self.assert_dropped(cache, ring, 3, names)
-        assert cache.association.partner_of(OTHER) == 3
+        assert cache._partner_of(OTHER) == 3
         assert cache.stats.couplings == 2
 
     @SCHEMES
@@ -133,7 +247,7 @@ class TestDecoupleReasons:
             if hits_between and tag < 4:
                 cache.access(address(cache, GIVER, tag))
         assert cache.stats.decouplings == 1
-        assert cache.association.partner_of(TAKER) is None
+        assert cache._partner_of(TAKER) is None
         cache.check_invariants()
         return [
             (event.set_index, event.giver, event.reason)

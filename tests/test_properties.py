@@ -91,11 +91,11 @@ class TestSbcProperties:
         live_pairs = sum(
             1
             for s in range(GEOMETRY.num_sets)
-            if cache.association.is_coupled(s)
+            if cache.association[s] != s
         )
         assert live_pairs % 2 == 0
         assert (
-            cache.association.couplings - cache.association.decouplings
+            cache.stats.couplings - cache.stats.decouplings
             == live_pairs // 2
         )
 

@@ -157,7 +157,7 @@ class TestSetMonitor:
         cache.sc_s[0] = 9
         cache.sc_t[0] = 5
         cache.shadow_insert(0, 7, at_mru=True)
-        cache.association.force_entry(0, 1)  # a one-sided pairing
+        cache.association[0] = 1  # a one-sided pairing
         cache.access(address(cache, 1, 1))  # the sweep finds and heals it
         assert 0 in cache.safe_mode_sets()
         assert (cache.sc_s[0], cache.sc_t[0]) == (0, 0)
