@@ -214,13 +214,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results = run_matrix(
         [trace], schemes, scale=scale, isolate=False
     ).results()
+    # Ratios are to the first scheme, and the column names it.
     baseline = results[0].mpki
+    label = f"vs {results[0].scheme}"
+    width = max(8, len(label))
     print(f"{'scheme':>10s} {'MPKI':>9s} {'AMAT':>9s} {'CPI':>8s} "
-          f"{'vs LRU':>8s}")
+          f"{label:>{width}s}")
     for result in results:
         relative = result.mpki / baseline if baseline else float("nan")
         print(f"{result.scheme:>10s} {result.mpki:>9.3f} "
-              f"{result.amat:>9.2f} {result.cpi:>8.3f} {relative:>8.3f}")
+              f"{result.amat:>9.2f} {result.cpi:>8.3f} "
+              f"{relative:>{width}.3f}")
     _finish_profile(results, args)
     return 0
 

@@ -46,6 +46,18 @@ class TestCommands:
         assert "LRU" in output
         assert "STEM" in output
 
+    def test_compare_names_its_baseline(self, capsys):
+        code = main([
+            "compare", "vpr", "--schemes", "STEM,LRU",
+            "--sets", "16", "--assoc", "4", "--length", "4000",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(" vs STEM")
+        assert "vs LRU" not in lines[0]
+        assert lines[1].split()[0] == "STEM"
+        assert lines[1].endswith(" 1.000")
+
     def test_sweep(self, capsys):
         code = main([
             "sweep", "vpr", "--schemes", "LRU",
