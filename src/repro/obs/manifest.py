@@ -124,7 +124,12 @@ class RunManifest:
         )
 
 
-def _content_hash(payload: Dict[str, Any]) -> str:
+def canonical_digest(payload: Any) -> str:
+    """sha256 of ``payload``'s canonical JSON: sorted keys, no spaces.
+
+    The one content hash of manifests, run-cache keys, campaign spec
+    digests and result digests.
+    """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -165,6 +170,6 @@ def build_manifest(
         measured_seconds=measured_seconds,
         measured_accesses=measured_accesses,
     )
-    digest = _content_hash(manifest.hashed_payload())
+    digest = canonical_digest(manifest.hashed_payload())
     object.__setattr__(manifest, "content_hash", digest)
     return manifest

@@ -38,7 +38,6 @@ identical** artefacts to one that never died.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,6 +61,7 @@ from repro.common.errors import (
 from repro.common.io import atomic_write_text
 from repro.obs.htmlreport import render_campaign_html
 from repro.obs.index import ArtifactIndex
+from repro.obs.manifest import canonical_digest
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import RetryPolicy
 from repro.sim.cache import RunCache, result_to_dict
@@ -218,9 +218,7 @@ class CampaignSpec:
             # different cell payloads, so it must not resume a
             # ledger-less journal (or vice versa).
             payload["ledger"] = True
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(payload)
 
 
 def _parse_schemes(source: str, document: Dict[str, Any]) -> Tuple[str, ...]:
@@ -568,10 +566,7 @@ def result_digest(result: RunResult) -> str:
     identically), so the journaled digest of a just-finished cell
     equals the digest of the same cell served from the run cache.
     """
-    canonical = json.dumps(
-        result_to_dict(result), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(result_to_dict(result))
 
 
 class _JournalObserver(CellObserver):

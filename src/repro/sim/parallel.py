@@ -34,8 +34,6 @@ the same number of processes, with results in input order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -45,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.obs.manifest import build_manifest
+from repro.obs.manifest import build_manifest, canonical_digest
 from repro.obs.telemetry import (
     CellTelemetry,
     GridTelemetry,
@@ -180,8 +178,7 @@ def cell_cache_key(spec: CellSpec) -> Optional[str]:
         "trace_digest": spec.trace.content_digest(),
         **spec.options.cache_key_fields(),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(payload)
 
 
 class CellObserver:
