@@ -214,7 +214,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results = run_matrix(
         [trace], schemes, scale=scale, isolate=False
     ).results()
-    # Ratios are to the first scheme, and the column names it.
     baseline = results[0].mpki
     label = f"vs {results[0].scheme}"
     width = max(8, len(label))

@@ -54,10 +54,11 @@ _MODE_LRU = 0
 _MODE_BIP = 1
 
 #: Exception classes the safe-mode access path treats as recoverable
-#: corruption symptoms.  Structured invariant errors are the designed
-#: signal; the builtin errors cover corruption that derails indexing
-#: before any invariant check runs (e.g. a glitched association entry
-#: sending a probe to a set that does not exist).
+#: corruption symptoms, and that mark a set suspect when its checks
+#: raise them.  Structured invariant errors are the designed signal;
+#: the builtin errors cover corruption that derails indexing before any
+#: invariant check runs (e.g. a glitched association entry sending a
+#: probe to a set that does not exist).
 _RECOVERABLE = (SimulationError, IndexError, KeyError, ValueError, TypeError)
 
 

@@ -124,7 +124,7 @@ class RunManifest:
         )
 
 
-def canonical_digest(payload: Any) -> str:
+def canonical_digest(payload: Dict[str, Any]) -> str:
     """sha256 of ``payload``'s canonical JSON: sorted keys, no spaces.
 
     The one content hash of manifests, run-cache keys, campaign spec

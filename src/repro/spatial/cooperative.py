@@ -444,17 +444,16 @@ class CoupledSets(CooperativeSets):
                 role = self._role[set_index]
                 if tracer.enabled and role != UNCOUPLED:
                     # A glitched pairing with no roles emits nothing.
-                    pair = (
+                    taker, giver = (
                         (set_index, partner) if role == TAKER
                         else (partner, set_index)
                     )
+                    stats = self.stats
                     tracer.emit(Decoupling(
-                        access=self.stats.accesses,
-                        set_index=pair[0],
-                        global_access=(
-                            self._access_base + self.stats.accesses
-                        ),
-                        giver=pair[1],
+                        access=stats.accesses,
+                        set_index=taker,
+                        global_access=self._access_base + stats.accesses,
+                        giver=giver,
                         reason="safe_mode",
                     ))
         self._role[set_index] = UNCOUPLED
