@@ -17,7 +17,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.common.errors import InvariantViolation, SimulationError
 from repro.common.rng import Lfsr
 from repro.common.stats import CacheStats
-from repro.obs.events import Eviction
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.base import RecencyPolicy, ReplacementPolicy
 from repro.policies.pelifo import _MODE_LIFO, _MODE_LRU, PeLifoPolicy
@@ -400,13 +399,11 @@ class SetAssociativeCache:
         tracer = self.tracer
         if tracer.enabled:
             if tracer.full:
-                tracer.emit(Eviction(
-                    access=self.stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + self.stats.accesses,
-                    tag=old_tag,
-                    dirty=dirty,
-                ))
+                accesses = self.stats.accesses
+                tracer.eviction(
+                    accesses, set_index, self._access_base + accesses,
+                    old_tag, dirty, False,
+                )
             else:
                 tracer.unread += 1
         if self.eviction_listener is not None:

@@ -40,13 +40,7 @@ from repro.common.errors import ConfigError, InvariantViolation, SimulationError
 from repro.common.hashing import H3Hash
 from repro.common.rng import Lfsr
 from repro.core.config import StemConfig
-from repro.obs.events import (
-    Eviction,
-    PolicySwap,
-    SafeModeEntry,
-    ShadowHit,
-    SpillReject,
-)
+from repro.obs.events import PolicySwap, SafeModeEntry, ShadowHit, SpillReject
 from repro.obs.tracer import Tracer
 from repro.spatial.cooperative import TAKER, UNCOUPLED, CoupledSets
 
@@ -223,14 +217,11 @@ class StemCache(CoupledSets):
             way_keys[way] = None
             if tracer.enabled:
                 if tracer.full or key & 1:
-                    tracer.emit(Eviction(
-                        access=stats.accesses,
-                        set_index=set_index,
-                        global_access=self._access_base + stats.accesses,
-                        tag=key >> 1,
-                        dirty=dirty,
-                        cooperative=bool(key & 1),
-                    ))
+                    accesses = stats.accesses
+                    tracer.eviction(
+                        accesses, set_index, self._access_base + accesses,
+                        key >> 1, dirty, bool(key & 1),
+                    )
                 else:
                     tracer.unread += 1
             dirty_row[way] = False

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro._version import __version__
 from repro.common.errors import ConfigError
 from repro.common.jsonl import TAIL, JsonlAppender, JsonlCorruption, read_jsonl
+from repro.obs.manifest import host_platform
 
 #: Trailing entries (excluding the latest) a regression check uses as
 #: its reference window.
@@ -50,7 +51,7 @@ _SPARK = "▁▂▃▄▅▆▇█"
 def machine_params() -> Dict[str, Any]:
     """The environment fingerprint stamped on every ledger entry."""
     return {
-        "platform": platform.platform(),
+        "platform": host_platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

@@ -4,10 +4,10 @@ Every interesting micro-architectural action — a block leaving a set, a
 victim spilling into a coupled partner, a pair forming or dissolving, a
 per-set policy swap, a shadow-set hit — has a small frozen dataclass
 here.  Events are *data*: caches construct them only when a tracer is
-enabled (and the frequent events outside :data:`CAPACITY_FLOW_KINDS`
-only when a sink reads every event), sinks serialise them
-(``as_dict``), and the inspection helpers rebuild them from JSONL logs
-(``event_from_dict``).
+enabled, and the frequent ones (evictions, spills, cooperative hits,
+shadow hits, spill rejects) only when a sink reads every event
+(:mod:`repro.obs.tracer`); sinks serialise them (``as_dict``), and the
+inspection helpers rebuild them from JSONL logs (``event_from_dict``).
 
 All events share three fields:
 
@@ -31,7 +31,7 @@ All events share three fields:
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Type
 
 from repro.common.errors import ConfigError
@@ -205,46 +205,12 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
 }
 
 
-def _slot_init(cls: Type[TraceEvent]) -> None:
-    """Give the frozen event type ``cls`` a cheaper ``__init__``.
-
-    A frozen dataclass's generated ``__init__`` stores each field with
-    ``object.__setattr__``, which looks the field up on the type every
-    time.  This one keeps the signature and defaults but calls each
-    slot's member descriptor directly.  Equality, hashing, ``repr``,
-    immutability and ``as_dict`` stay the dataclass's own.
-    """
-    specs = fields(cls)
-    names = [spec.name for spec in specs]
-    setters = [f"_set_{name}" for name in names]
-    source = (
-        f"def build({', '.join(setters)}):\n"
-        f"    def __init__(self, {', '.join(names)}):\n"
-        + "".join(
-            f"        {setter}(self, {name})\n"
-            for setter, name in zip(setters, names)
-        )
-        + "    return __init__\n"
-    )
-    namespace: Dict[str, Any] = {}
-    exec(source, namespace)
-    init = namespace["build"](*(getattr(cls, name).__set__ for name in names))
-    init.__defaults__ = tuple(
-        spec.default for spec in specs if spec.default is not MISSING
-    )
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-
-
-for _event_type in EVENT_TYPES.values():
-    _slot_init(_event_type)
-
-
 #: Kinds whose every event is a capacity-flow event.  Together with the
 #: *cooperative* evictions (a giver dropping a block it cached for its
 #: taker) they are everything the capacity-flow ledger reads; a tracer
-#: whose sinks read nothing else counts the other events without
-#: building them (DESIGN.md §14).
+#: whose sinks read nothing else hands them the spills, cooperative hits
+#: and cooperative evictions as fields and counts the other events,
+#: building neither (DESIGN.md §14).
 CAPACITY_FLOW_KINDS = frozenset(
     {"coupling", "decoupling", "spill", "coop_hit", "policy_swap"}
 )

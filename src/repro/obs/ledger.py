@@ -28,10 +28,13 @@ events seen.  A violation raises
 The sink is an ordinary tracer sink, so it rides the existing
 zero-overhead-when-disabled contract: a run without a ledger constructs
 neither the sink nor a tracer, and pays nothing.  It reads only the
-capacity-flow events, so a tracer carrying no other sink builds no
-event the ledger would discard (DESIGN.md §14).  Everything the ledger
-derives comes from deterministic events, so its serialised form is
-byte-stable across repeated runs and across serial/parallel execution.
+capacity-flow events, and takes the frequent ones (spills, cooperative
+hits, cooperative evictions) as fields, so a tracer carrying no other
+sink builds only rare events: couplings, decouplings and policy swaps,
+and the fault and safe-mode events (DESIGN.md §14).  Everything the
+ledger derives comes from deterministic events, so its serialised form
+is byte-stable across repeated runs and across serial/parallel
+execution.
 """
 
 from __future__ import annotations
@@ -278,11 +281,16 @@ class LedgerSink:
 
     The ledger reads only capacity-flow events
     (:func:`~repro.obs.events.is_capacity_flow`).  A tracer with no sink
-    that reads every event counts the others without building them and
-    hands the count to :meth:`skip` when it is flushed, so
-    :attr:`events_seen` is the same either way once the tracer has been
-    flushed.  :func:`~repro.sim.simulator.run_trace` flushes before it
-    seals; a caller that drives a cache and seals by hand calls
+    that reads every event passes spills, cooperative hits and
+    cooperative evictions to :meth:`spill`, :meth:`coop_hit` and
+    :meth:`eviction` as fields, builds only the rarer capacity-flow
+    events for :meth:`record`, counts the others without building them
+    and hands the count to :meth:`skip` when it is flushed.  With a full
+    sink attached, every event arrives built and :meth:`record` hands
+    the three frequent kinds' fields to the same methods, so the books
+    and :attr:`events_seen` are the same either way once the tracer has
+    been flushed.  :func:`~repro.sim.simulator.run_trace` flushes before
+    it seals; a caller that drives a cache and seals by hand calls
     :meth:`~repro.obs.tracer.Tracer.flush` first.
     """
 
@@ -379,52 +387,88 @@ class LedgerSink:
             raise ConfigError("LedgerSink is sealed")
         self.events_seen += count
 
-    def record(self, event: TraceEvent) -> None:
-        """Consume one event (kinds the ledger ignores still count)."""
+    # The three frequent capacity-flow kinds arrive as fields
+    # (repro.obs.tracer), in the event's field order; record() hands
+    # built ones here too, so each kind is accounted in one place.
+
+    def spill(
+        self, access: int, set_index: int, global_access: int,
+        giver: int, tag: int, dirty: bool,
+    ) -> None:
+        """Account one :class:`~repro.obs.events.Spill`, from its fields."""
         if self._sealed:
             raise ConfigError("LedgerSink is sealed")
         self.events_seen += 1
-        # Spills, cooperative evictions and cooperative hits are nearly
-        # every event the ledger reads, so they are tested first and
-        # read the clock inline (``event_clock``).
-        kind = event.kind
-        if kind == "spill":
-            self._spill_events += 1
-            taker = event.set_index
-            giver = event.giver
-            episode = self._open_by_taker.get(taker)
-            if episode is not None and episode.giver == giver:
-                self._advance(episode, event.global_access or event.access)
-                episode.spills += 1
-                self._resident[giver] += 1
-                self._flows[taker]["spills_out"] += 1
-                self._flows[giver]["spills_in"] += 1
-            else:
-                self._orphan_spills += 1
-        elif kind == "eviction":
-            # Only cooperative evictions touch the account: a giver
-            # dropping a block it cached on its taker's behalf.
-            if event.cooperative:
-                giver = event.set_index
-                episode = self._open_by_giver.get(giver)
-                if episode is not None:
-                    self._advance(episode, event.global_access or event.access)
-                    if self._resident[giver] > 0:
-                        self._resident[giver] -= 1
-                    else:
-                        self._orphan_evictions += 1
+        self._spill_events += 1
+        episode = self._open_by_taker.get(set_index)
+        if episode is not None and episode.giver == giver:
+            self._advance(episode, global_access or access)
+            episode.spills += 1
+            self._resident[giver] += 1
+            self._flows[set_index]["spills_out"] += 1
+            self._flows[giver]["spills_in"] += 1
+        else:
+            self._orphan_spills += 1
+
+    def eviction(
+        self, access: int, set_index: int, global_access: int,
+        tag: int, dirty: bool, cooperative: bool,
+    ) -> None:
+        """Account one :class:`~repro.obs.events.Eviction`, from its fields.
+
+        Only a cooperative eviction touches the account: a giver
+        dropping a block it cached on its taker's behalf.
+        """
+        if self._sealed:
+            raise ConfigError("LedgerSink is sealed")
+        self.events_seen += 1
+        if cooperative:
+            episode = self._open_by_giver.get(set_index)
+            if episode is not None:
+                self._advance(episode, global_access or access)
+                if self._resident[set_index] > 0:
+                    self._resident[set_index] -= 1
                 else:
                     self._orphan_evictions += 1
-        elif kind == "coop_hit":
-            self._coop_hit_events += 1
-            episode = self._open_by_taker.get(event.set_index)
-            if episode is not None and episode.giver == event.giver:
-                self._advance(episode, event.global_access or event.access)
-                episode.coop_hits += 1
-                self._flows[event.set_index]["coop_hits"] += 1
             else:
-                self._orphan_coop_hits += 1
-        elif kind == "coupling":
+                self._orphan_evictions += 1
+
+    def coop_hit(
+        self, access: int, set_index: int, global_access: int, giver: int,
+    ) -> None:
+        """Account one :class:`~repro.obs.events.CoopHit`, from its fields."""
+        if self._sealed:
+            raise ConfigError("LedgerSink is sealed")
+        self.events_seen += 1
+        self._coop_hit_events += 1
+        episode = self._open_by_taker.get(set_index)
+        if episode is not None and episode.giver == giver:
+            self._advance(episode, global_access or access)
+            episode.coop_hits += 1
+            self._flows[set_index]["coop_hits"] += 1
+        else:
+            self._orphan_coop_hits += 1
+
+    def record(self, event: TraceEvent) -> None:
+        """Consume one event (kinds the ledger ignores still count)."""
+        kind = event.kind
+        if kind == "spill":
+            self.spill(event.access, event.set_index, event.global_access,
+                       event.giver, event.tag, event.dirty)
+            return
+        if kind == "eviction":
+            self.eviction(event.access, event.set_index,
+                          event.global_access, event.tag, event.dirty,
+                          event.cooperative)
+            return
+        if kind == "coop_hit":
+            self.coop_hit(event.access, event.set_index,
+                          event.global_access, event.giver)
+            return
+        if self._sealed:
+            raise ConfigError("LedgerSink is sealed")
+        self.events_seen += 1
+        if kind == "coupling":
             self._coupling_events += 1
             self._open(event.set_index, event.giver, event_clock(event))
         elif kind == "decoupling":

@@ -12,6 +12,7 @@ details remain visible but outside the hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import platform
@@ -124,6 +125,24 @@ class RunManifest:
         )
 
 
+@functools.cache
+def host_platform() -> str:
+    """The host's system, release, machine and C library, as one string.
+
+    ``platform.platform()`` asks a ``uname -p`` subprocess for the
+    processor, once per process.  The forked child inherits its
+    parent's peak RSS, so a process that waits for it reads that peak
+    again as its largest child's.  This string skips the processor: on
+    Linux it equals ``platform.platform()`` unless ``uname -p`` names a
+    processor other than the machine.  Computed once per process.
+    """
+    libc, version = platform.libc_ver()
+    parts = [platform.system(), platform.release(), platform.machine()]
+    if libc:
+        parts += ["with", libc + version]
+    return "-".join(part for part in parts if part)
+
+
 def canonical_digest(payload: Dict[str, Any]) -> str:
     """sha256 of ``payload``'s canonical JSON: sorted keys, no spaces.
 
@@ -165,7 +184,7 @@ def build_manifest(
         trace_metadata=trace_metadata,
         package_version=__version__,
         python_version=sys.version.split()[0],
-        platform=platform.platform(),
+        platform=host_platform(),
         warmup_seconds=warmup_seconds,
         measured_seconds=measured_seconds,
         measured_accesses=measured_accesses,

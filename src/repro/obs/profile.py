@@ -16,7 +16,6 @@ run manifest; this module aggregates those timings across runs:
 from __future__ import annotations
 
 import json
-import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Union
 
 from repro.common.io import atomic_write_text
+from repro.obs.manifest import host_platform
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class RunProfiler:
         document: Dict[str, Any] = {
             "machine_info": {
                 "python_version": sys.version.split()[0],
-                "platform": platform.platform(),
+                "platform": host_platform(),
             },
             "benchmarks": benchmarks,
         }

@@ -6,7 +6,7 @@ tracepoint is guarded::
 
     tracer = self.tracer
     if tracer.enabled:
-        tracer.emit(Eviction(...))
+        tracer.emit(Coupling(...))
 
 so a disabled tracer costs one attribute read per *event site* (not per
 access) and never constructs an event object.  Enabled tracers fan
@@ -28,6 +28,19 @@ stay exact::
         else:
             tracer.unread += 1
 
+The frequent capacity-flow tracepoints (spills, cooperative hits and
+cooperative evictions) hand their fields to :meth:`Tracer.spill`,
+:meth:`Tracer.coop_hit` and :meth:`Tracer.eviction`.  A full tracer
+builds the event there; any other passes the fields on to each sink's
+method of the same name, and no event is built::
+
+    if tracer.enabled:
+        if tracer.full or cooperative:
+            tracer.eviction(access, set_index, global_access,
+                            tag, dirty, cooperative)
+        else:
+            tracer.unread += 1
+
 :meth:`Tracer.flush` hands the pending count to every sink's
 ``skip(count)`` in one call.  The simulator flushes at the end of each
 run, before it seals a ledger; :meth:`Tracer.close`,
@@ -43,7 +56,7 @@ from __future__ import annotations
 
 from typing import List, Protocol, runtime_checkable
 
-from repro.obs.events import TraceEvent
+from repro.obs.events import CoopHit, Eviction, Spill, TraceEvent
 
 
 @runtime_checkable
@@ -51,7 +64,13 @@ class TraceSink(Protocol):
     """Anything that can receive a stream of :class:`TraceEvent`.
 
     A sink that sets ``reads_every_event = False`` reads only
-    capacity-flow events and must also accept ``skip(count)``: the
+    capacity-flow events.  Unless a full sink shares its tracer, it
+    receives the three frequent ones as fields, not events, so it must
+    implement ``spill``, ``coop_hit`` and ``eviction`` with the
+    signatures of the :class:`Tracer` methods of the same name
+    (``eviction`` only ever for a cooperative eviction); there is no
+    fallback to ``record``.  It receives the rarer capacity-flow events
+    through ``record``, and must also accept ``skip(count)``: the
     number of other events the tracer counted without building.
     """
 
@@ -66,8 +85,8 @@ class Tracer:
     ``full`` is true iff some sink reads every event.  ``unread``
     counts the events tracepoints counted without building since the
     last :meth:`flush`; only a tracer that is enabled and not full
-    accumulates it.  ``events_emitted`` counts built and counted events
-    alike, flushed or not.
+    accumulates it.  ``events_emitted`` counts every event delivered
+    (built or as fields) or counted, flushed or not.
     """
 
     __slots__ = ("enabled", "full", "unread", "_delivered", "_sinks")
@@ -77,14 +96,14 @@ class Tracer:
         self.enabled: bool = False
         self.full: bool = False
         self.unread: int = 0
-        # Built events plus flushed unread ones.
+        # Events delivered, built or as fields, plus flushed unread ones.
         self._delivered: int = 0
         for sink in sinks:
             self.add_sink(sink)
 
     @property
     def events_emitted(self) -> int:
-        """Every event built or counted so far, pending ones included."""
+        """Every event delivered or counted so far, pending included."""
         return self._delivered + self.unread
 
     def add_sink(self, sink: TraceSink) -> None:
@@ -115,6 +134,53 @@ class Tracer:
         self._delivered += 1
         for sink in self._sinks:
             sink.record(event)
+
+    # The three frequent capacity-flow tracepoints.  Each takes its
+    # event's fields in field order, and is called only while the
+    # tracer is enabled, as every tracepoint tests first.
+
+    def eviction(
+        self, access: int, set_index: int, global_access: int,
+        tag: int, dirty: bool, cooperative: bool,
+    ) -> None:
+        """Deliver an :class:`Eviction`, built only for a full tracer.
+
+        A tracer that is not full is called only for a cooperative
+        eviction; a plain one is counted in :attr:`unread` instead.
+        """
+        if self.full:
+            self.emit(Eviction(access, set_index, global_access,
+                               tag, dirty, cooperative))
+        else:
+            self._delivered += 1
+            for sink in self._sinks:
+                sink.eviction(access, set_index, global_access,
+                              tag, dirty, cooperative)
+
+    def spill(
+        self, access: int, set_index: int, global_access: int,
+        giver: int, tag: int, dirty: bool,
+    ) -> None:
+        """Deliver a :class:`Spill`, built only for a full tracer."""
+        if self.full:
+            self.emit(Spill(access, set_index, global_access,
+                            giver, tag, dirty))
+        else:
+            self._delivered += 1
+            for sink in self._sinks:
+                sink.spill(access, set_index, global_access,
+                           giver, tag, dirty)
+
+    def coop_hit(
+        self, access: int, set_index: int, global_access: int, giver: int,
+    ) -> None:
+        """Deliver a :class:`CoopHit`, built only for a full tracer."""
+        if self.full:
+            self.emit(CoopHit(access, set_index, global_access, giver))
+        else:
+            self._delivered += 1
+            for sink in self._sinks:
+                sink.coop_hit(access, set_index, global_access, giver)
 
     def flush(self) -> None:
         """Pass the pending :attr:`unread` count to every sink's ``skip``.

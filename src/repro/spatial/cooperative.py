@@ -33,7 +33,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.common.errors import InvariantViolation, SimulationError
 from repro.common.rng import Lfsr
 from repro.common.stats import CacheStats
-from repro.obs.events import CoopHit, Coupling, Decoupling, Eviction, Spill
+from repro.obs.events import Coupling, Decoupling
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.spatial.heap import GiverHeap
 
@@ -99,14 +99,11 @@ class CooperativeSets:
         tracer = self.tracer
         if tracer.enabled:
             if tracer.full or key & 1:
-                tracer.emit(Eviction(
-                    access=self.stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + self.stats.accesses,
-                    tag=key >> 1,
-                    dirty=self._dirty[set_index][way],
-                    cooperative=bool(key & 1),
-                ))
+                accesses = self.stats.accesses
+                tracer.eviction(
+                    accesses, set_index, self._access_base + accesses,
+                    key >> 1, self._dirty[set_index][way], bool(key & 1),
+                )
             else:
                 tracer.unread += 1
         self._dirty[set_index][way] = False
@@ -122,14 +119,11 @@ class CooperativeSets:
         stats.spills += 1
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(Spill(
-                access=stats.accesses,
-                set_index=source,
-                global_access=self._access_base + stats.accesses,
-                giver=dest,
-                tag=tag,
-                dirty=dirty,
-            ))
+            accesses = stats.accesses
+            tracer.spill(
+                accesses, source, self._access_base + accesses,
+                dest, tag, dirty,
+            )
         free = self._free[dest]
         if free:
             way = free.pop()
@@ -400,12 +394,10 @@ class CoupledSets(CooperativeSets):
             # spatial, never temporal, whatever the taker's policy.
             self._led_hits[taker] += 1
             self._led_coop[taker] += 1
-            tracer.emit(CoopHit(
-                access=stats.accesses,
-                set_index=taker,
-                global_access=self._access_base + stats.accesses,
-                giver=giver,
-            ))
+            accesses = stats.accesses
+            tracer.coop_hit(
+                accesses, taker, self._access_base + accesses, giver,
+            )
         if is_write:
             self._dirty[giver][way] = True
         order = self._order[giver]

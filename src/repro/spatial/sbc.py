@@ -26,7 +26,6 @@ from repro.cache.access import AccessKind
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.common.rng import Lfsr
-from repro.obs.events import Eviction
 from repro.obs.tracer import Tracer
 from repro.spatial.cooperative import TAKER, UNCOUPLED, CoupledSets
 
@@ -200,14 +199,11 @@ class SbcCache(CoupledSets):
             tracer = self.tracer
             if tracer.enabled:
                 if tracer.full or key & 1:
-                    tracer.emit(Eviction(
-                        access=stats.accesses,
-                        set_index=set_index,
-                        global_access=self._access_base + stats.accesses,
-                        tag=key >> 1,
-                        dirty=dirty,
-                        cooperative=bool(key & 1),
-                    ))
+                    accesses = stats.accesses
+                    tracer.eviction(
+                        accesses, set_index, self._access_base + accesses,
+                        key >> 1, dirty, bool(key & 1),
+                    )
                 else:
                     tracer.unread += 1
             dirty_row[way] = False

@@ -38,7 +38,6 @@ from repro.common.errors import (
 )
 from repro.common.rng import Lfsr
 from repro.common.stats import CacheStats
-from repro.obs.events import Eviction
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 _INVALID = -1
@@ -211,13 +210,11 @@ class VwayCache:
         tracer = self.tracer
         if tracer.enabled:
             if tracer.full:
-                tracer.emit(Eviction(
-                    access=self.stats.accesses,
-                    set_index=set_index,
-                    global_access=self._access_base + self.stats.accesses,
-                    tag=tag,
-                    dirty=dirty,
-                ))
+                accesses = self.stats.accesses
+                tracer.eviction(
+                    accesses, set_index, self._access_base + accesses,
+                    tag, dirty, False,
+                )
             else:
                 tracer.unread += 1
 

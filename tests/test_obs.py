@@ -7,6 +7,8 @@ sensitivity), the inspection aggregates, and the profiler report.
 """
 
 import json
+import platform
+import subprocess
 
 import pytest
 
@@ -37,7 +39,11 @@ from repro.obs.inspect import (
     summarize_events,
     swap_cadence,
 )
-from repro.obs.manifest import build_manifest, describe_scheme
+from repro.obs.manifest import (
+    build_manifest,
+    describe_scheme,
+    host_platform,
+)
 from repro.obs.profile import PhaseTimer, RunProfiler
 from repro.obs.sinks import JsonlSink, RingBufferSink, load_events
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -331,6 +337,22 @@ class TestManifest:
         trace = make_benchmark_trace("vpr", num_sets=64, length=2_000)
         manifest = build_manifest(cache, trace, seed=42)
         assert manifest.seed == 42
+
+    def test_building_starts_no_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError(f"started a process: {args!r}")
+
+        # platform.platform() runs `uname -p` once per process: clear
+        # every cache that would hide that call.
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        monkeypatch.setattr(platform, "_uname_cache", None, raising=False)
+        monkeypatch.setattr(platform, "_platform_cache", {}, raising=False)
+        host_platform.cache_clear()
+        cache = StemCache(GEOMETRY)
+        trace = make_benchmark_trace("vpr", num_sets=64, length=2_000)
+        manifest = build_manifest(cache, trace)
+        assert manifest.platform == host_platform()
+        assert manifest.platform.startswith(platform.system())
 
 
 class TestInspect:
