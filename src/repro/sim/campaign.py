@@ -553,8 +553,11 @@ def build_cells(spec: CampaignSpec) -> List[CampaignCell]:
     return cells
 
 
-def _synthesise(key: TraceKey) -> Trace:
-    """One campaign trace; module-level so it pickles into pool workers."""
+def synthesise(key: TraceKey) -> Trace:
+    """One (benchmark, sets, length) trace, for a campaign or a grid.
+
+    Module-level so it pickles into pool workers.
+    """
     benchmark, sets, length = key
     return make_benchmark_trace(benchmark, num_sets=sets, length=length)
 
@@ -855,7 +858,7 @@ def run_campaign(
                 cell.trace_key(spec) for cell in pending
             ))
             traces = dict(zip(
-                keys, ordered_map(_synthesise, keys, max_workers=jobs)
+                keys, ordered_map(synthesise, keys, max_workers=jobs)
             ))
             specs = [
                 cell.cell_spec(spec, traces[cell.trace_key(spec)])

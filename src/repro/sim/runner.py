@@ -25,14 +25,15 @@ results (:class:`~repro.obs.profile.RunProfiler`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.sim.campaign import synthesise
 from repro.sim.config import ExperimentScale
 from repro.sim.options import RunOptions
 from repro.sim.parallel import CellSpec, ParallelRunner, ordered_map
 from repro.sim.results import ResultMatrix, RunFailure
 from repro.sim.simulator import RunResult
-from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
+from repro.workloads.spec_like import benchmark_names
 from repro.workloads.trace import Trace
 
 
@@ -100,12 +101,6 @@ def run_matrix(
     return matrix
 
 
-def _benchmark_trace(key: Tuple[str, int, int]) -> Trace:
-    """One (benchmark, sets, length) trace; module-level so it pickles."""
-    name, num_sets, length = key
-    return make_benchmark_trace(name, num_sets=num_sets, length=length)
-
-
 def run_benchmarks(
     schemes: Sequence[str],
     benchmarks: Optional[Sequence[str]] = None,
@@ -125,7 +120,7 @@ def run_benchmarks(
     scale = scale if scale is not None else ExperimentScale.default()
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
     traces = ordered_map(
-        _benchmark_trace,
+        synthesise,
         [(name, scale.num_sets, scale.trace_length) for name in names],
         max_workers=max_workers,
     )

@@ -24,6 +24,7 @@ evaluated schemes differ on:
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -250,7 +251,7 @@ def generate_trace(
         running += weight
         cumulative.append(running)
     total_weight = running
-    addresses: List[int] = []
+    addresses = array("Q")
     append = addresses.append
     writes: Optional[List[bool]] = [] if spec.write_fraction > 0.0 else None
     write_cut = splitmix_cut(spec.write_fraction)

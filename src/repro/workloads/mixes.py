@@ -9,6 +9,7 @@ turning into a giver must eventually decouple, Section 4.7).
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence
 
 from repro.common.errors import ConfigError, TraceError
@@ -27,7 +28,7 @@ def concatenate_traces(traces: Sequence[Trace], name: str = "") -> Trace:
             raise TraceError(
                 "cannot concatenate traces with different address geometry"
             )
-    addresses: List[int] = []
+    addresses = array("Q")
     instructions = 0
     any_writes = any(trace.writes is not None for trace in traces)
     writes: List[bool] = []

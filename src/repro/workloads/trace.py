@@ -1,7 +1,8 @@
 """Memory traces: the unit of work every experiment consumes.
 
-A :class:`Trace` is a flat list of physical block addresses (optionally
-with per-access write flags) plus :class:`TraceMetadata` describing the
+A :class:`Trace` is a compact ``array('Q')`` of physical block
+addresses, one unsigned 64-bit word per access (optionally with
+per-access write flags), plus :class:`TraceMetadata` describing the
 program it stands for — most importantly the instruction count, which
 turns miss counts into the paper's MPKI metric.  Traces are plain data:
 generators build them, simulators iterate them, and they round-trip
@@ -15,7 +16,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import TraceError
 from repro.common.io import atomic_write
@@ -46,10 +47,17 @@ class TraceMetadata:
 
 @dataclass
 class Trace:
-    """A sequence of memory accesses with program-level metadata."""
+    """A sequence of memory accesses with program-level metadata.
+
+    ``addresses`` is an ``array('Q')``: eight bytes per access where a
+    list of ints takes about 36, and a pickle ships it as one raw
+    buffer.  Any other sequence of ints is converted once on
+    construction; a value that does not fit an unsigned 64-bit word
+    raises :class:`TraceError` there.  ``writes`` stays a list of bools.
+    """
 
     metadata: TraceMetadata
-    addresses: List[int]
+    addresses: array
     writes: Optional[List[bool]] = field(default=None)
     #: (offset_bits, index_bits) -> (set_indices, tags); derived, never
     #: compared, pickled, or persisted.
@@ -61,6 +69,12 @@ class Trace:
     )
 
     def __post_init__(self) -> None:
+        addresses = self.addresses
+        if type(addresses) is not array or addresses.typecode != "Q":
+            try:
+                self.addresses = array("Q", addresses)
+            except (OverflowError, TypeError) as exc:
+                raise TraceError(_unstorable(addresses, exc)) from exc
         if self.writes is not None and len(self.writes) != len(self.addresses):
             raise TraceError(
                 "writes mask length does not match the address stream: "
@@ -113,7 +127,7 @@ class Trace:
         """
         if self._content_digest is None:
             hasher = hashlib.sha256()
-            hasher.update(array("Q", self.addresses).tobytes())
+            hasher.update(self.addresses)
             if self.writes is not None:
                 hasher.update(b"w")
                 hasher.update(bytes(bytearray(self.writes)))
@@ -198,11 +212,11 @@ class Trace:
 
         Every malformation — a corrupt or incomplete header, a missing
         required key, a non-hex address, a negative address, or an
-        address wider than the header's ``address_bits`` — raises
-        :class:`TraceError` naming the file (and line), never a bare
-        ``KeyError`` or ``ValueError``.  A header without the ``writes``
-        key (written before it existed) gets a write mask exactly when
-        some line is marked ``w``.
+        address wider than the header's ``address_bits`` or than 64
+        bits — raises :class:`TraceError` naming the file (and line),
+        never a bare ``KeyError``, ``ValueError`` or ``OverflowError``.
+        A header without the ``writes`` key (written before it existed)
+        gets a write mask exactly when some line is marked ``w``.
         """
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
@@ -241,7 +255,7 @@ class Trace:
                     f"writes must be true or false, got {has_mask!r}"
                 )
             address_limit = 1 << metadata.address_bits
-            addresses: List[int] = []
+            addresses = array("Q")
             writes: List[bool] = []
             any_write = False
             for line_number, line in enumerate(handle, start=2):
@@ -264,10 +278,32 @@ class Trace:
                         f"{path}:{line_number}: address {parts[0]!r} wider "
                         f"than address_bits={metadata.address_bits}"
                     )
-                addresses.append(address)
+                try:
+                    addresses.append(address)
+                except OverflowError as exc:
+                    raise TraceError(
+                        f"{path}:{line_number}: address {parts[0]!r} does "
+                        "not fit in 64 bits"
+                    ) from exc
                 is_write = len(parts) > 1 and parts[1] == "w"
                 writes.append(is_write)
                 any_write = any_write or is_write
         if has_mask is None:  # written before the header said
             has_mask = any_write
         return cls(metadata, addresses, writes if has_mask else None)
+
+
+def _unstorable(addresses: Iterable, error: Exception) -> str:
+    """Name the first value of ``addresses`` an ``array('Q')`` rejects."""
+    try:
+        for index, address in enumerate(addresses):
+            try:
+                array("Q", (address,))
+            except (OverflowError, TypeError):
+                return (
+                    f"address {index} is {address!r}, which is not an "
+                    "unsigned 64-bit integer"
+                )
+    except TypeError:
+        pass
+    return f"addresses must be a sequence of ints: {error}"

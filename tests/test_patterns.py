@@ -34,7 +34,7 @@ class TestSequentialScan:
 
     def test_addresses_monotone_within_pass(self):
         trace = sequential_scan(array_bytes=512, element_bytes=8)
-        assert trace.addresses == sorted(trace.addresses)
+        assert trace.addresses.tolist() == sorted(trace.addresses)
 
     def test_oversized_scan_thrashes_lru(self):
         # Array >> cache, repeated passes: near-100% line misses.

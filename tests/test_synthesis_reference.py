@@ -55,7 +55,7 @@ def workload_specs(draw):
 def _assert_matches_reference(spec, num_sets, length, seed):
     trace = generate_trace(spec, num_sets=num_sets, length=length, seed=seed)
     addresses, writes = reference_trace(spec, num_sets, length, seed=seed)
-    assert trace.addresses == addresses
+    assert trace.addresses.tolist() == addresses
     assert trace.writes == writes
 
 
